@@ -1593,50 +1593,48 @@ wild:
 
 /// Regenerates the isolation-backend matrix: every
 /// [`palladium::BackendKind`] raced over the same workloads and the same
-/// adversarial corpus through the [`palladium::IsolationBackend`] trait.
+/// adversarial corpus, each loaded with [`DlopenOptions::backend`].
 pub fn measure_backend_matrix() -> Vec<BackendMatrixRow> {
-    use palladium::{backend_for, BackendKind, FaultAttribution};
+    use palladium::{BackendKind, FaultAttribution};
 
     BackendKind::ALL
         .iter()
         .map(|&kind| {
-            let b = backend_for(kind);
+            let opts = DlopenOptions::new().backend(kind);
 
             let mut k = Kernel::boot();
             let mut app = ExtensibleApp::new(&mut k).expect("app");
 
             // Warm protected-call cost.
             let nul = Assembler::assemble("nul:\n    ret\n").unwrap();
-            let h = b
-                .load(&mut k, &mut app, &nul, &DlopenOptions::new())
-                .expect("load nul");
-            let f = b.resolve(&mut k, &mut app, h, "nul").expect("resolve nul");
-            b.call(&mut k, &mut app, f, 0).unwrap();
+            let h = app.dlopen(&mut k, &nul, &opts).expect("load nul");
+            let f = app.seg_dlsym(&mut k, h, "nul").expect("resolve nul");
+            app.call_extension(&mut k, f, 0).unwrap();
             let c0 = k.m.cycles();
-            b.call(&mut k, &mut app, f, 0).unwrap();
+            app.call_extension(&mut k, f, 0).unwrap();
             let c1 = k.m.cycles();
-            b.call(&mut k, &mut app, f, 0).unwrap();
+            app.call_extension(&mut k, f, 0).unwrap();
             let c2 = k.m.cycles();
             assert_eq!(c1 - c0, c2 - c1, "{kind}: warm calls are deterministic");
             let warm_call_cycles = c2 - c1;
 
             // Dispatch cost on the checksum filter.
             let sum = Assembler::assemble(SUM4_SRC).unwrap();
-            let h = b
-                .load(&mut k, &mut app, &sum, &DlopenOptions::new())
-                .expect("load sum4");
-            let f = b
-                .resolve(&mut k, &mut app, h, "sum4")
-                .expect("resolve sum4");
+            let h = app.dlopen(&mut k, &sum, &opts).expect("load sum4");
+            let f = app.seg_dlsym(&mut k, h, "sum4").expect("resolve sum4");
             let shared = app.alloc_shared(&mut k, 1).expect("shared");
             for (i, v) in [11u32, 22, 33, 44].iter().enumerate() {
                 assert!(k.m.host_write(shared + 4 * i as u32, &v.to_le_bytes()));
             }
-            assert_eq!(b.call(&mut k, &mut app, f, shared).unwrap(), 110, "{kind}");
+            assert_eq!(
+                app.call_extension(&mut k, f, shared).unwrap(),
+                110,
+                "{kind}"
+            );
             let c0 = k.m.cycles();
-            b.call(&mut k, &mut app, f, shared).unwrap();
+            app.call_extension(&mut k, f, shared).unwrap();
             let c1 = k.m.cycles();
-            b.call(&mut k, &mut app, f, shared).unwrap();
+            app.call_extension(&mut k, f, shared).unwrap();
             let c2 = k.m.cycles();
             assert_eq!(c1 - c0, c2 - c1, "{kind}: warm dispatch is deterministic");
             let dispatch_cycles = c2 - c1;
@@ -1654,7 +1652,7 @@ pub fn measure_backend_matrix() -> Vec<BackendMatrixRow> {
                     k.extension_cycle_limit = 50_000;
                     let mut app = ExtensibleApp::new(&mut k).expect("app");
                     let obj = Assembler::assemble(src).unwrap();
-                    let h = match b.load(&mut k, &mut app, &obj, &DlopenOptions::new()) {
+                    let h = match app.dlopen(&mut k, &obj, &opts) {
                         Ok(h) => h,
                         Err(_) => {
                             return ContainmentOutcome {
@@ -1664,11 +1662,11 @@ pub fn measure_backend_matrix() -> Vec<BackendMatrixRow> {
                             }
                         }
                     };
-                    let entry = b
-                        .resolve(&mut k, &mut app, h, entry_name)
+                    let entry = app
+                        .seg_dlsym(&mut k, h, entry_name)
                         .expect("resolve adversary");
                     let victim = app.save_slot_addr();
-                    let (outcome, contained) = match b.call(&mut k, &mut app, entry, victim) {
+                    let (outcome, contained) = match app.call_extension(&mut k, entry, victim) {
                         Ok(_) => {
                             // The call survived: legal only if the wild
                             // store was masked away from the victim.
@@ -1676,7 +1674,7 @@ pub fn measure_backend_matrix() -> Vec<BackendMatrixRow> {
                             let tag = if masked { "masked" } else { "escaped" };
                             (tag.to_string(), masked)
                         }
-                        Err(e) => match b.attribute_fault(&e) {
+                        Err(e) => match e.attribution() {
                             FaultAttribution::Contained { check } => (check.to_string(), true),
                             FaultAttribution::Budget => ("budget".into(), true),
                             FaultAttribution::Unattributed => ("unattributed".into(), false),

@@ -30,7 +30,7 @@ use minikernel::Kernel;
 use palladium::backend::BackendKind;
 use palladium::kernel_ext::{ExtSegmentId, KernelExtensions, KextError, SegmentConfig};
 use palladium::supervisor::{RestartPolicy, SupervisedId, SupervisedState, Supervisor};
-use palladium::user_ext::{DlopenOptions, ExtCallError, ExtensibleApp, PalError};
+use palladium::user_ext::{DlopenOptions, ExtCallError, ExtensibleApp};
 use seedrng::SeedRng;
 use x86sim::mem::PAGE_SIZE;
 
@@ -308,15 +308,18 @@ fn kext_outcome(r: &Result<u32, KextError>) -> String {
     }
 }
 
-fn dl_outcome(e: &PalError) -> String {
+fn dl_outcome(e: &palladium::Error) -> String {
+    use palladium::Error;
     match e {
-        PalError::Spawn(_) => "dlopen-oom".into(),
-        PalError::Dl(_) | PalError::Link(_) => "dlopen-link-err".into(),
-        PalError::NoSymbol(_) => "dlopen-nosym".into(),
-        PalError::Kernel(..) => "dlopen-kernel-err".into(),
-        PalError::Closed => "dlopen-closed".into(),
-        PalError::Verify(_) => "dlopen-verify-err".into(),
-        PalError::Sfi(_) => "dlopen-sfi-err".into(),
+        Error::Spawn(_) => "dlopen-oom".into(),
+        Error::Dl(_) | Error::Link(_) => "dlopen-link-err".into(),
+        Error::NoSymbol(_) => "dlopen-nosym".into(),
+        Error::Kernel(..) => "dlopen-kernel-err".into(),
+        Error::Closed => "dlopen-closed".into(),
+        Error::Verify(_) => "dlopen-verify-err".into(),
+        Error::Sfi(_) => "dlopen-sfi-err".into(),
+        // The user-level runtime returns none of the other variants.
+        _ => "dlopen-other".into(),
     }
 }
 

@@ -1,9 +1,8 @@
-//! Pluggable isolation backends: [`IsolationBackend`].
+//! Isolation backends: [`BackendKind`].
 //!
 //! The paper's mechanism — segmentation plus paging — is one *policy*
-//! for confining extensions, not the only one. This module makes the
-//! choice pluggable behind a single trait so the same workloads can be
-//! raced across mechanisms:
+//! for confining extensions, not the only one. This module names the
+//! three mechanisms the same workloads can be raced across:
 //!
 //! * [`BackendKind::SegPaging`] — the paper, and the default: extensions
 //!   at SPL 3 / PPL 1, the application's private pages at PPL 0, wild
@@ -21,18 +20,18 @@
 //!   *redirected*, not faulted, and the code runs at the application's
 //!   own privilege level with no domain crossing.
 //!
-//! Backends are stateless unit structs — all per-extension state lives
-//! in the [`ExtensibleApp`]'s extension table (and serializes with it),
+//! The choice is closed (images store [`BackendKind::code`]), so the
+//! enum is the only dispatch point: the
+//! [`ExtensibleApp`](crate::ExtensibleApp) loader, `seg_dlsym` and
+//! `seg_dlclose` match on an extension's kind. All per-extension state
+//! lives in the application's extension table and serializes with it,
 //! which keeps `Session::fork` and checkpoint/restore backend-agnostic.
-//! Select a backend per extension with [`DlopenOptions::backend`] or per
+//! Select a backend per extension with
+//! [`DlopenOptions::backend`](crate::DlopenOptions::backend) or per
 //! session with [`Session::with_backend`](crate::Session::with_backend).
 #![warn(clippy::pedantic)]
 
-use asm86::Object;
-use minikernel::Kernel;
-
-use crate::error::Error;
-use crate::user_ext::{DlopenOptions, ExtCallError, ExtensibleApp, ExtensionHandle};
+use crate::user_ext::ExtCallError;
 
 /// The protection key tagging application-private pages under the
 /// [`BackendKind::ProtKeys`] backend (key 0 is the "no key" default all
@@ -96,7 +95,8 @@ impl core::fmt::Display for BackendKind {
     }
 }
 
-/// How a backend explains an aborted protected call.
+/// How an aborted protected call was contained
+/// ([`ExtCallError::attribution`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAttribution {
     /// A hardware-level protection check contained the violation;
@@ -110,293 +110,27 @@ pub enum FaultAttribution {
     /// The CPU-time budget aborted a runaway call — a resource policy,
     /// not a memory-protection check.
     Budget,
-    /// The failure carries no structured cause this backend can
-    /// attribute (e.g. the task died with no handler installed).
+    /// The failure carries no structured cause to attribute (e.g. the
+    /// task died with no handler installed).
     Unattributed,
 }
 
-/// One isolation mechanism: how extensions are admitted, granted and
-/// revoked access, called, and how their failures are explained.
-///
-/// Implementations are stateless; all mutable state lives in the
-/// [`ExtensibleApp`] (serialized with it), so a `&'static dyn
-/// IsolationBackend` from [`backend_for`] is always safe to hold.
-pub trait IsolationBackend {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Admits an extension object under this backend's rules and maps it
-    /// with this backend's protections (grant).
-    ///
-    /// # Errors
-    ///
-    /// Rejection is backend-specific: verification failures for the
-    /// hardware backends ([`Error::Verify`]), [`Error::Sfi`] when the
-    /// rewriter cannot sandbox the code, resource exhaustion for all.
-    fn load(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        obj: &Object,
-        opts: &DlopenOptions,
-    ) -> Result<ExtensionHandle, Error>;
-
-    /// Resolves a function symbol to the entry point protected calls
-    /// must use (a generated `Prepare` routine for the hardware
-    /// backends, the rewritten function itself for SFI).
-    ///
-    /// # Errors
-    ///
-    /// Fails on an unknown symbol, a closed handle, or (hardware
-    /// backends) when no trampoline slot is left.
-    fn resolve(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        h: ExtensionHandle,
-        name: &str,
-    ) -> Result<u32, Error>;
-
-    /// Makes one protected call to an entry point from
-    /// [`resolve`](Self::resolve). The hosting application survives any
-    /// outcome.
-    ///
-    /// # Errors
-    ///
-    /// An aborted call surfaces as [`ExtCallError`]; feed it to
-    /// [`attribute_fault`](Self::attribute_fault) to learn which
-    /// protection check contained it.
-    fn call(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        entry: u32,
-        arg: u32,
-    ) -> Result<u32, ExtCallError>;
-
-    /// Revokes the extension (unload): later calls into it fault instead
-    /// of executing stale code.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an unknown or already-closed handle.
-    fn close(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        h: ExtensionHandle,
-    ) -> Result<(), Error>;
-
-    /// Explains an aborted protected call in terms of this backend's
-    /// protection model.
-    fn attribute_fault(&self, e: &ExtCallError) -> FaultAttribution;
-
-    /// Audits for protection state leaked past an unload (stale key
-    /// gates, still-resolvable entry points); one human-readable finding
-    /// per leak, empty when clean.
-    fn leak_audit(&self, k: &Kernel, app: &ExtensibleApp) -> Vec<String>;
-}
-
-fn attribute(e: &ExtCallError) -> FaultAttribution {
-    match e {
-        ExtCallError::Fault { cause: Some(c), .. } => {
-            FaultAttribution::Contained { check: c.tag() }
-        }
-        ExtCallError::Fault { cause: None, .. } | ExtCallError::Killed(_) => {
-            FaultAttribution::Unattributed
-        }
-        ExtCallError::TimeLimit => FaultAttribution::Budget,
-    }
-}
-
-/// The paper's mechanism: segmentation + paging (U/S bit), the default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SegPaging;
-
-/// MPK/POE-style protection keys with gate-integrity-checked `wrpkru`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProtKeys;
-
-/// Software fault isolation wrapping [`baselines::sfi`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sfi;
-
-impl IsolationBackend for SegPaging {
-    fn kind(&self) -> BackendKind {
-        BackendKind::SegPaging
-    }
-
-    fn load(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        obj: &Object,
-        opts: &DlopenOptions,
-    ) -> Result<ExtensionHandle, Error> {
-        Ok(app.dlopen(k, obj, &opts.clone().backend(BackendKind::SegPaging))?)
-    }
-
-    fn resolve(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        h: ExtensionHandle,
-        name: &str,
-    ) -> Result<u32, Error> {
-        Ok(app.seg_dlsym(k, h, name)?)
-    }
-
-    fn call(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        entry: u32,
-        arg: u32,
-    ) -> Result<u32, ExtCallError> {
-        app.call_extension(k, entry, arg)
-    }
-
-    fn close(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        h: ExtensionHandle,
-    ) -> Result<(), Error> {
-        Ok(app.seg_dlclose(k, h)?)
-    }
-
-    fn attribute_fault(&self, e: &ExtCallError) -> FaultAttribution {
-        attribute(e)
-    }
-
-    fn leak_audit(&self, _k: &Kernel, app: &ExtensibleApp) -> Vec<String> {
-        app.audit_closed_extensions()
-    }
-}
-
-impl IsolationBackend for ProtKeys {
-    fn kind(&self) -> BackendKind {
-        BackendKind::ProtKeys
-    }
-
-    fn load(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        obj: &Object,
-        opts: &DlopenOptions,
-    ) -> Result<ExtensionHandle, Error> {
-        Ok(app.dlopen(k, obj, &opts.clone().backend(BackendKind::ProtKeys))?)
-    }
-
-    fn resolve(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        h: ExtensionHandle,
-        name: &str,
-    ) -> Result<u32, Error> {
-        Ok(app.seg_dlsym(k, h, name)?)
-    }
-
-    fn call(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        entry: u32,
-        arg: u32,
-    ) -> Result<u32, ExtCallError> {
-        app.call_extension(k, entry, arg)
-    }
-
-    fn close(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        h: ExtensionHandle,
-    ) -> Result<(), Error> {
-        Ok(app.seg_dlclose(k, h)?)
-    }
-
-    fn attribute_fault(&self, e: &ExtCallError) -> FaultAttribution {
-        attribute(e)
-    }
-
-    fn leak_audit(&self, k: &Kernel, app: &ExtensibleApp) -> Vec<String> {
-        let mut findings = app.audit_closed_extensions();
-        // Gate-integrity hygiene: every registered wrpkru gate site must
-        // belong to an *open* ProtKeys extension's Transfer trampoline.
-        for site in k.m.key_gate_sites() {
-            if !app.owns_key_gate(site) {
-                findings.push(format!(
-                    "stale key gate at {site:#010x} (no open extension)"
-                ));
+impl ExtCallError {
+    /// Explains an aborted protected call: which protection check
+    /// contained it, whether the CPU-time budget cut it off, or neither.
+    /// The explanation depends only on the error, not on the backend
+    /// that guarded the call.
+    #[must_use]
+    pub fn attribution(&self) -> FaultAttribution {
+        match self {
+            ExtCallError::Fault { cause: Some(c), .. } => {
+                FaultAttribution::Contained { check: c.tag() }
             }
+            ExtCallError::Fault { cause: None, .. } | ExtCallError::Killed(_) => {
+                FaultAttribution::Unattributed
+            }
+            ExtCallError::TimeLimit => FaultAttribution::Budget,
         }
-        findings
-    }
-}
-
-impl IsolationBackend for Sfi {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sfi
-    }
-
-    fn load(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        obj: &Object,
-        opts: &DlopenOptions,
-    ) -> Result<ExtensionHandle, Error> {
-        Ok(app.dlopen(k, obj, &opts.clone().backend(BackendKind::Sfi))?)
-    }
-
-    fn resolve(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        h: ExtensionHandle,
-        name: &str,
-    ) -> Result<u32, Error> {
-        Ok(app.seg_dlsym(k, h, name)?)
-    }
-
-    fn call(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        entry: u32,
-        arg: u32,
-    ) -> Result<u32, ExtCallError> {
-        app.call_extension(k, entry, arg)
-    }
-
-    fn close(
-        &self,
-        k: &mut Kernel,
-        app: &mut ExtensibleApp,
-        h: ExtensionHandle,
-    ) -> Result<(), Error> {
-        Ok(app.seg_dlclose(k, h)?)
-    }
-
-    fn attribute_fault(&self, e: &ExtCallError) -> FaultAttribution {
-        attribute(e)
-    }
-
-    fn leak_audit(&self, _k: &Kernel, app: &ExtensibleApp) -> Vec<String> {
-        app.audit_closed_extensions()
-    }
-}
-
-/// The singleton implementation of each backend.
-#[must_use]
-pub fn backend_for(kind: BackendKind) -> &'static dyn IsolationBackend {
-    match kind {
-        BackendKind::SegPaging => &SegPaging,
-        BackendKind::ProtKeys => &ProtKeys,
-        BackendKind::Sfi => &Sfi,
     }
 }
 
@@ -409,7 +143,6 @@ mod tests {
         let mut names = std::collections::BTreeSet::new();
         for kind in BackendKind::ALL {
             assert_eq!(BackendKind::from_code(kind.code()), Some(kind));
-            assert_eq!(backend_for(kind).kind(), kind);
             names.insert(kind.name());
         }
         assert_eq!(names.len(), 3);
@@ -418,9 +151,8 @@ mod tests {
 
     #[test]
     fn attribution_classes() {
-        let b = backend_for(BackendKind::SegPaging);
         assert_eq!(
-            b.attribute_fault(&ExtCallError::TimeLimit),
+            ExtCallError::TimeLimit.attribution(),
             FaultAttribution::Budget
         );
         let e = ExtCallError::Fault {
@@ -429,7 +161,7 @@ mod tests {
             cause: Some(x86sim::fault::FaultCause::PrivilegedInstruction),
         };
         assert!(matches!(
-            b.attribute_fault(&e),
+            e.attribution(),
             FaultAttribution::Contained { .. }
         ));
         let e = ExtCallError::Fault {
@@ -437,6 +169,6 @@ mod tests {
             addr: 0,
             cause: None,
         };
-        assert_eq!(b.attribute_fault(&e), FaultAttribution::Unattributed);
+        assert_eq!(e.attribution(), FaultAttribution::Unattributed);
     }
 }

@@ -1,46 +1,48 @@
 //! The unified error surface: [`Error`].
 //!
-//! Every Palladium subsystem keeps its own precise error enum — the
-//! user-level runtime's [`PalError`], the kernel-extension manager's
-//! [`KextError`], the supervisor's [`SupervisorError`], the static
-//! verifier's [`VerifyError`] and the protected-call outcome
-//! [`ExtCallError`] — but callers composing several subsystems (the
-//! [`Session`](crate::Session) façade, examples, drivers) should not
-//! have to thread five error types through their signatures. [`Error`]
-//! is the single top-level enum they all convert into via `From`/`?`.
+//! The user-level runtime ([`ExtensibleApp`](crate::ExtensibleApp) and
+//! the [`Session`](crate::Session) façade) returns [`Error`] directly.
+//! The other subsystems keep their own precise enums — the
+//! kernel-extension manager's [`KextError`], the supervisor's
+//! [`SupervisorError`], the static verifier's [`VerifyError`] and the
+//! protected-call outcome [`ExtCallError`] — and convert into [`Error`]
+//! via `From`/`?`, so callers composing several subsystems thread one
+//! error type through their signatures.
 //!
 //! ## Mapping
 //!
-//! | Source type | `Error` variant | Notes |
+//! | Source | `Error` variant | Notes |
 //! |---|---|---|
-//! | [`PalError`] | [`Error::Pal`] | except `PalError::Verify(e)`, which is hoisted to [`Error::Verify`] so one match arm catches every verifier rejection |
-//! | [`KextError`] | [`Error::Kext`] | except `KextError::Verify(e)`, hoisted to [`Error::Verify`] likewise |
+//! | [`SpawnError`] | [`Error::Spawn`] | task creation or memory exhaustion in the user-level runtime |
+//! | [`DlError`] | [`Error::Dl`] | GOT/PLT resolution or object merging |
+//! | user-level runtime | [`Error::Link`], [`Error::NoSymbol`], [`Error::Kernel`], [`Error::Closed`] | built in place; no source type |
+//! | [`KextError`] | [`Error::Kext`] | except `KextError::Verify(e)`, hoisted to [`Error::Verify`] |
 //! | [`SupervisorError`] | [`Error::Supervisor`] | |
-//! | [`VerifyError`] | [`Error::Verify`] | |
+//! | [`VerifyError`] | [`Error::Verify`] | also built in place by a rejecting `dlopen` |
 //! | [`ExtCallError`] | [`Error::Call`] | an *aborted* protected call — the application survived |
 //! | [`ShmError`] | [`Error::Shm`] | |
-//! | [`SfiError`] | [`Error::Sfi`] | hoisted from `PalError::Sfi(e)` too: an image the SFI rewriter cannot sandbox |
+//! | [`SfiError`] | [`Error::Sfi`] | an image the SFI rewriter cannot sandbox, from `baselines::sfi` or a `dlopen` under the SFI backend |
 //! | [`BpfError`] | [`Error::Bpf`] | a packet-filter program rejected by the BPF validator (baseline comparisons) |
 //! | [`RestoreError`] | [`Error::Restore`] | a checkpoint image that failed structural/integrity checks |
 //!
-//! The hoisting rule means `matches!(e, Error::Verify(_))` is the
-//! complete "rejected by the static verifier" test, no matter whether
-//! the rejection came from `dlopen` (user level) or `insmod` (kernel
-//! level) — and likewise `Error::Sfi(_)` catches every SFI-rewriter
-//! rejection whether it was returned directly by `baselines::sfi` or
-//! wrapped by a `dlopen` under the SFI backend.
+//! `matches!(e, Error::Verify(_))` is the complete "rejected by the
+//! static verifier" test, no matter whether the rejection came from
+//! `dlopen` (user level) or `insmod` (kernel level, via the hoisting of
+//! `KextError::Verify`).
 //!
 //! [`Error::BackendMismatch`] has no source type: it is produced by
 //! [`Session::restore_as`](crate::Session::restore_as) when a checkpoint
 //! carries a different isolation backend than the caller demanded.
 
 use crate::backend::BackendKind;
+use crate::dl::DlError;
 use crate::kernel_ext::KextError;
 use crate::shm::ShmError;
 use crate::supervisor::SupervisorError;
-use crate::user_ext::{ExtCallError, PalError};
+use crate::user_ext::ExtCallError;
 use baselines::bpf::BpfError;
 use baselines::sfi::SfiError;
+use minikernel::SpawnError;
 use verifier::VerifyError;
 use x86sim::image::RestoreError;
 
@@ -48,14 +50,24 @@ use x86sim::image::RestoreError;
 /// conversion mapping).
 #[derive(Debug)]
 pub enum Error {
-    /// User-level runtime failure (load, link, symbol, kernel interface).
-    Pal(PalError),
+    /// User-level task creation or memory failure.
+    Spawn(SpawnError),
+    /// User-level linking or symbol resolution failure.
+    Dl(DlError),
+    /// A user-level image failed to link.
+    Link(String),
+    /// A requested symbol does not exist in the extension.
+    NoSymbol(String),
+    /// A kernel interface returned an error code.
+    Kernel(&'static str, i32),
+    /// The extension handle was already closed.
+    Closed,
     /// Kernel-extension mechanism failure (`insmod`/`invoke`/segments).
     Kext(KextError),
     /// Supervision failure (staging, restart, reclamation).
     Supervisor(SupervisorError),
     /// An image was rejected by load-time static verification, at either
-    /// privilege level.
+    /// privilege level; a rejected user-level extension is unloaded.
     Verify(VerifyError),
     /// A protected extension call was aborted (fault / time limit); the
     /// hosting application survived.
@@ -63,7 +75,7 @@ pub enum Error {
     /// Shared-memory area failure.
     Shm(ShmError),
     /// An image the SFI rewriter cannot sandbox (under the `Sfi`
-    /// isolation backend), at either wrapping level.
+    /// isolation backend).
     Sfi(SfiError),
     /// A packet-filter program rejected by the BPF validator.
     Bpf(BpfError),
@@ -84,7 +96,12 @@ pub enum Error {
 impl core::fmt::Display for Error {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Error::Pal(e) => write!(f, "{e}"),
+            Error::Spawn(e) => write!(f, "spawn: {e}"),
+            Error::Dl(e) => write!(f, "dynamic linking: {e}"),
+            Error::Link(e) => write!(f, "link: {e}"),
+            Error::NoSymbol(s) => write!(f, "no such symbol `{s}`"),
+            Error::Kernel(what, e) => write!(f, "kernel {what} failed: {e}"),
+            Error::Closed => write!(f, "extension already closed"),
             Error::Kext(e) => write!(f, "{e}"),
             Error::Supervisor(e) => write!(f, "{e}"),
             Error::Verify(e) => write!(f, "extension rejected by the verifier: {e}"),
@@ -105,27 +122,34 @@ impl core::fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Pal(e) => Some(e),
-            Error::Kext(_) => None, // KextError does not implement Error
-            Error::Supervisor(_) => None,
+            Error::Spawn(e) => Some(e),
+            Error::Dl(e) => Some(e),
+            Error::Kext(e) => Some(e),
             Error::Verify(e) => Some(e),
-            Error::Call(_) => None,
             Error::Shm(e) => Some(e),
             Error::Sfi(e) => Some(e),
             Error::Bpf(e) => Some(e),
             Error::Restore(e) => Some(e),
-            Error::BackendMismatch { .. } => None,
+            Error::Link(_)
+            | Error::NoSymbol(_)
+            | Error::Kernel(..)
+            | Error::Closed
+            | Error::Supervisor(_)
+            | Error::Call(_)
+            | Error::BackendMismatch { .. } => None,
         }
     }
 }
 
-impl From<PalError> for Error {
-    fn from(e: PalError) -> Error {
-        match e {
-            PalError::Verify(v) => Error::Verify(v),
-            PalError::Sfi(s) => Error::Sfi(s),
-            other => Error::Pal(other),
-        }
+impl From<SpawnError> for Error {
+    fn from(e: SpawnError) -> Error {
+        Error::Spawn(e)
+    }
+}
+
+impl From<DlError> for Error {
+    fn from(e: DlError) -> Error {
+        Error::Dl(e)
     }
 }
 
@@ -190,20 +214,25 @@ mod tests {
             offset: 0,
             mnemonic: "hlt",
         };
-        let from_pal: Error = PalError::Verify(v.clone()).into();
         let from_kext: Error = KextError::Verify(v.clone()).into();
         let direct: Error = v.into();
-        for e in [from_pal, from_kext, direct] {
+        for e in [from_kext, direct] {
             assert!(matches!(e, Error::Verify(_)), "{e}");
         }
     }
 
     #[test]
     fn plain_variants_round_trip() {
-        let e: Error = PalError::Closed.into();
-        assert!(matches!(e, Error::Pal(PalError::Closed)));
+        use std::error::Error as _;
+        let e: Error = SpawnError::OutOfMemory.into();
+        assert!(matches!(e, Error::Spawn(SpawnError::OutOfMemory)));
+        assert!(e.source().is_some());
+        let e: Error = DlError::Unresolved("f".into()).into();
+        assert!(matches!(e, Error::Dl(DlError::Unresolved(_))));
         let e: Error = KextError::TimeLimit.into();
         assert!(matches!(e, Error::Kext(KextError::TimeLimit)));
+        let src = e.source().expect("kext errors chain their source");
+        assert_eq!(src.to_string(), KextError::TimeLimit.to_string());
         let e: Error = ExtCallError::TimeLimit.into();
         assert!(matches!(e, Error::Call(ExtCallError::TimeLimit)));
         assert!(!format!("{e}").is_empty());
@@ -211,12 +240,8 @@ mod tests {
 
     #[test]
     fn baseline_errors_are_hoisted_at_the_backend_boundary() {
-        let s = SfiError::Unsupported("relative branch");
-        let from_pal: Error = PalError::Sfi(s).into();
-        let direct: Error = s.into();
-        for e in [from_pal, direct] {
-            assert!(matches!(e, Error::Sfi(_)), "{e}");
-        }
+        let e: Error = SfiError::Unsupported("relative branch").into();
+        assert!(matches!(e, Error::Sfi(_)), "{e}");
         let e: Error = BpfError::NoReturn.into();
         assert!(matches!(e, Error::Bpf(BpfError::NoReturn)));
         assert!(!format!("{e}").is_empty());

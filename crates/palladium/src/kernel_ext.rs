@@ -98,6 +98,8 @@ impl core::fmt::Display for KextError {
     }
 }
 
+impl std::error::Error for KextError {}
+
 impl From<SpawnError> for KextError {
     fn from(_: SpawnError) -> KextError {
         KextError::OutOfMemory

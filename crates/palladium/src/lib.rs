@@ -33,17 +33,20 @@
 //!   total): per-segment resource ledgers unwound transactionally on
 //!   fault/quarantine/`rmmod`/destroy, a kernel-side leak audit, and
 //!   restart policies with exponential backoff and permanent tombstones.
-//! * [`backend`] — pluggable isolation backends behind the
-//!   [`IsolationBackend`] trait: the paper's segmentation+paging default,
-//!   an MPK/POE-style protection-key model with gate-integrity-checked
+//! * [`backend`] — the closed set of isolation backends, named by
+//!   [`BackendKind`]: the paper's segmentation+paging default, an
+//!   MPK/POE-style protection-key model with gate-integrity-checked
 //!   `wrpkru`, and a software-fault-isolation comparator wrapping
-//!   [`baselines::sfi`].
+//!   [`baselines::sfi`]. The user-level loader matches on the kind
+//!   directly; [`ExtCallError::attribution`] and
+//!   [`ExtensibleApp::leak_audit`] serve all three.
 //! * [`session`] — the [`Session`] façade: a booted kernel plus its
 //!   promoted application behind one load/resolve/call/close API, with
 //!   verification, attestation and predecode as [`DlopenOptions`] and the
 //!   isolation mechanism selectable per session or per load.
-//! * [`error`] — the unified [`Error`] enum every subsystem error
-//!   converts into (see its module docs for the mapping table).
+//! * [`error`] — the unified [`Error`] enum: the user-level runtime
+//!   returns it directly and every other subsystem error converts into
+//!   it (see its module docs for the mapping table).
 
 pub mod backend;
 mod checkpoint;
@@ -61,7 +64,7 @@ pub mod supervisor;
 pub mod trampoline;
 pub mod user_ext;
 
-pub use backend::{backend_for, BackendKind, FaultAttribution, IsolationBackend, APP_KEY};
+pub use backend::{BackendKind, FaultAttribution, APP_KEY};
 pub use error::Error;
 pub use kernel_ext::{
     DispatchStats, ExtSegmentId, KernelExtensions, KextError, SegmentConfig, SegmentConfigBuilder,
@@ -75,14 +78,6 @@ pub use supervisor::{
     SupervisedId, SupervisedState, Supervisor, SupervisorError,
 };
 pub use user_ext::{DlopenOptions, ExtCallError, ExtensibleApp, ExtensionHandle};
-
-/// The user-level runtime's error enum, re-exported at the crate root
-/// for backward compatibility.
-#[deprecated(
-    note = "match on the unified `palladium::Error` (or name the subsystem enum \
-            explicitly as `palladium::user_ext::PalError`)"
-)]
-pub use user_ext::PalError;
 pub use verifier::{Attestation, VerifyError, VerifyPolicy};
 
 #[cfg(test)]

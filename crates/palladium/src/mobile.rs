@@ -18,7 +18,8 @@ use std::collections::BTreeMap;
 use asm86::{decode_program, Object};
 use minikernel::Kernel;
 
-use crate::user_ext::{DlopenOptions, ExtCallError, ExtensibleApp, ExtensionHandle, PalError};
+use crate::error::Error;
+use crate::user_ext::{DlopenOptions, ExtCallError, ExtensibleApp, ExtensionHandle};
 
 /// Per-applet resource limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +127,7 @@ pub struct AppletHost {
 impl AppletHost {
     /// Creates a host with the shared mini-libc pre-loaded (its
     /// non-buffering routines are the only imports admitted by default).
-    pub fn new(k: &mut Kernel, quota: AppletQuota) -> Result<AppletHost, PalError> {
+    pub fn new(k: &mut Kernel, quota: AppletQuota) -> Result<AppletHost, Error> {
         let mut app = ExtensibleApp::new(k)?;
         let libc_base = app.load_libc(k)?;
         let _ = libc_base;
@@ -151,11 +152,11 @@ impl AppletHost {
         name: &str,
         impl_obj: &Object,
         impl_symbol: &str,
-    ) -> Result<u16, PalError> {
+    ) -> Result<u16, Error> {
         let syms = self.app.install_app_code(k, impl_obj)?;
         let addr = *syms
             .get(impl_symbol)
-            .ok_or_else(|| PalError::NoSymbol(impl_symbol.to_string()))?;
+            .ok_or_else(|| Error::NoSymbol(impl_symbol.to_string()))?;
         let gate = self.app.register_service(k, addr)?;
         self.services.insert(name.to_string(), gate as u32);
         Ok(gate)
@@ -273,7 +274,7 @@ impl AppletHost {
 
     /// Allocates a shared data area readable and writable by both the
     /// host application and its applets.
-    pub fn alloc_shared(&mut self, k: &mut Kernel, pages: u32) -> Result<u32, PalError> {
+    pub fn alloc_shared(&mut self, k: &mut Kernel, pages: u32) -> Result<u32, Error> {
         self.app.alloc_shared(k, pages)
     }
 

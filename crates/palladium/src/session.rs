@@ -33,7 +33,7 @@ use minikernel::Kernel;
 use verifier::Attestation;
 use x86sim::image::{kind, Enc, ImageBuilder, ImageView, RestoreError};
 
-use crate::backend::{backend_for, BackendKind};
+use crate::backend::BackendKind;
 use crate::error::Error;
 use crate::user_ext::{DlopenOptions, ExtensibleApp, ExtensionHandle};
 
@@ -95,54 +95,61 @@ impl Session {
     }
 
     /// Loads an extension (the paper's `seg_dlopen`), with verification,
-    /// attestation and predecode governed by `opts`. The load is routed
-    /// through the [`IsolationBackend`](crate::IsolationBackend) named by
-    /// `opts`, falling back to the session default
-    /// ([`backend`](Self::backend)).
+    /// attestation and predecode governed by `opts`. The extension is
+    /// guarded by the backend `opts` names, falling back to the session
+    /// default ([`backend`](Self::backend)).
     pub fn dlopen(&mut self, obj: &Object, opts: &DlopenOptions) -> Result<ExtensionHandle, Error> {
         let kind = opts.backend_kind().unwrap_or(self.backend);
-        backend_for(kind).load(&mut self.k, &mut self.app, obj, opts)
+        self.app.dlopen_as(&mut self.k, obj, opts, kind)
     }
 
     /// Resolves a *function* symbol to the entry point protected calls
     /// must use — a generated `Prepare` routine for the hardware
     /// backends, the rewritten function itself under SFI (`seg_dlsym`).
     pub fn dlsym(&mut self, h: ExtensionHandle, name: &str) -> Result<u32, Error> {
-        let kind = self.app.backend_of(h)?;
-        backend_for(kind).resolve(&mut self.k, &mut self.app, h, name)
+        self.app.seg_dlsym(&mut self.k, h, name)
     }
 
     /// Resolves a *data* symbol to its raw address (plain `dlsym`; §4.4.2:
     /// data pointers pass unswizzled).
     pub fn data_symbol(&self, h: ExtensionHandle, name: &str) -> Result<u32, Error> {
-        Ok(self.app.dlsym(h, name)?)
+        self.app.dlsym(h, name)
     }
 
     /// Makes a protected call through the Figure 6 sequence. `prepare`
     /// is a pointer returned by [`dlsym`](Self::dlsym); faults and
     /// CPU-limit overruns abort the call ([`Error::Call`]) and the
-    /// application survives.
+    /// application survives; [`ExtCallError::attribution`] says which
+    /// check contained it.
+    ///
+    /// [`ExtCallError::attribution`]: crate::ExtCallError::attribution
     pub fn call(&mut self, prepare: u32, arg: u32) -> Result<u32, Error> {
-        Ok(backend_for(self.backend).call(&mut self.k, &mut self.app, prepare, arg)?)
+        Ok(self.app.call_extension(&mut self.k, prepare, arg)?)
     }
 
     /// Closes an extension: its protections are revoked and any later
     /// call into it faults (`seg_dlclose`).
     pub fn dlclose(&mut self, h: ExtensionHandle) -> Result<(), Error> {
-        let kind = self.app.backend_of(h)?;
-        backend_for(kind).close(&mut self.k, &mut self.app, h)
+        self.app.seg_dlclose(&mut self.k, h)
+    }
+
+    /// Audits for protection state leaked past an unload, under every
+    /// backend at once (see [`ExtensibleApp::leak_audit`]); one finding
+    /// per leak, empty when clean.
+    pub fn leak_audit(&self) -> Vec<String> {
+        self.app.leak_audit(&self.k)
     }
 
     /// The `Verified` attestation of an extension admitted through a
     /// [`DlopenOptions::verify`] load, if any.
     pub fn attestation(&self, h: ExtensionHandle) -> Result<Option<Attestation>, Error> {
-        Ok(self.app.attestation(h)?)
+        self.app.attestation(h)
     }
 
     /// Loads the miniature shared libc (PPL 1), making its symbols
     /// importable by later [`dlopen`](Self::dlopen)s.
     pub fn load_libc(&mut self) -> Result<u32, Error> {
-        Ok(self.app.load_libc(&mut self.k)?)
+        self.app.load_libc(&mut self.k)
     }
 
     /// Per-invocation CPU-time budget for protected calls (§4.5.2).

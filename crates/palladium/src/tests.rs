@@ -1299,7 +1299,7 @@ mod checkpoint {
 
 mod backends {
     use super::obj;
-    use crate::backend::{backend_for, BackendKind, FaultAttribution};
+    use crate::backend::{BackendKind, FaultAttribution};
     use crate::error::Error;
     use crate::session::Session;
     use crate::user_ext::DlopenOptions;
@@ -1322,7 +1322,7 @@ mod backends {
             let f = s.dlsym(h, "double").unwrap();
             assert_eq!(s.call(f, 21).unwrap(), 42, "{kind}");
             assert!(
-                backend_for(kind).leak_audit(s.kernel(), s.app()).is_empty(),
+                s.leak_audit().is_empty(),
                 "{kind}: leak audit on a live extension"
             );
         }
@@ -1343,7 +1343,7 @@ mod backends {
                 other => panic!("{kind}: wild write must abort the call, got {other:?}"),
             };
             assert_eq!(
-                backend_for(kind).attribute_fault(&e),
+                e.attribution(),
                 FaultAttribution::Contained { check: tag },
                 "{kind}: {e:?}"
             );
@@ -1384,9 +1384,45 @@ mod backends {
         s.dlclose(h).unwrap();
         // Close unregisters the gate; the audit stays clean.
         assert_eq!(s.kernel().m.key_gate_sites().count(), 0);
-        assert!(backend_for(BackendKind::ProtKeys)
-            .leak_audit(s.kernel(), s.app())
-            .is_empty());
+        assert!(s.leak_audit().is_empty());
+    }
+
+    #[test]
+    fn leak_audit_checks_key_gates_under_every_backend() {
+        for kind in BackendKind::ALL {
+            // The session default plus one per-load ProtKeys extension,
+            // whose gate is owned while it is open.
+            let mut s = Session::with_backend(kind).unwrap();
+            let plain = s.dlopen(&obj("g:\nret\n"), &DlopenOptions::new()).unwrap();
+            let keyed = s
+                .dlopen(
+                    &obj("f:\nret\n"),
+                    &DlopenOptions::new().backend(BackendKind::ProtKeys),
+                )
+                .unwrap();
+            for (h, name) in [(plain, "g"), (keyed, "f")] {
+                let f = s.dlsym(h, name).unwrap();
+                s.call(f, 0).unwrap();
+            }
+            assert!(s.leak_audit().is_empty(), "{kind}: {:?}", s.leak_audit());
+
+            // A gate site no extension's Transfer owns is flagged whatever
+            // the session's backend.
+            let stray = s.app().save_slot_addr();
+            s.kernel_mut().m.register_key_gate(stray);
+            let findings = s.leak_audit();
+            assert_eq!(findings.len(), 1, "{kind}: {findings:?}");
+            assert!(
+                findings[0].contains("stale key gate"),
+                "{kind}: {findings:?}"
+            );
+            s.kernel_mut().m.unregister_key_gate(stray);
+
+            s.dlclose(keyed).unwrap();
+            s.dlclose(plain).unwrap();
+            assert_eq!(s.kernel().m.key_gate_sites().count(), 0, "{kind}");
+            assert!(s.leak_audit().is_empty(), "{kind}: {:?}", s.leak_audit());
+        }
     }
 
     #[test]

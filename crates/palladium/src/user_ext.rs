@@ -32,7 +32,8 @@ use x86sim::paging::{pkru, pte};
 
 use crate::backend::{BackendKind, APP_KEY};
 use crate::checkpoint as ckpt;
-use crate::dl::{build_got_plt, merge_objects, DlError};
+use crate::dl::{build_got_plt, merge_objects};
+use crate::error::Error;
 use crate::kernel_ext::install_proof_map;
 use crate::stdlib;
 use crate::trampoline::{self, PrepareParams, SaveSlots, TransferParams};
@@ -43,64 +44,6 @@ use verifier::{verify_image, Attestation, VerifyPolicy};
 /// 400 µs (= 80,000 cycles at 200 MHz); `seg_dlopen`'s extra PPL marking
 /// takes it to ~420 µs.
 pub const DLOPEN_BASE_CYCLES: u64 = 80_000;
-
-/// Errors from the Palladium user-level runtime.
-#[derive(Debug)]
-pub enum PalError {
-    /// Task creation / memory failure.
-    Spawn(SpawnError),
-    /// Linking or symbol resolution failure.
-    Dl(DlError),
-    /// Image link failure.
-    Link(String),
-    /// A requested symbol does not exist in the extension.
-    NoSymbol(String),
-    /// A kernel interface returned an error.
-    Kernel(&'static str, i32),
-    /// The extension image failed load-time static verification
-    /// (a [`DlopenOptions::verify`] load); it was unloaded.
-    Verify(verifier::VerifyError),
-    /// The extension was rejected by the SFI rewriter
-    /// (a [`BackendKind::Sfi`] load).
-    Sfi(SfiError),
-    /// The extension handle was already closed.
-    Closed,
-}
-
-impl core::fmt::Display for PalError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            PalError::Spawn(e) => write!(f, "spawn: {e}"),
-            PalError::Dl(e) => write!(f, "dynamic linking: {e}"),
-            PalError::Link(e) => write!(f, "link: {e}"),
-            PalError::NoSymbol(s) => write!(f, "no such symbol `{s}`"),
-            PalError::Kernel(what, e) => write!(f, "kernel {what} failed: {e}"),
-            PalError::Verify(e) => write!(f, "extension rejected by the verifier: {e}"),
-            PalError::Sfi(e) => write!(f, "extension rejected by the SFI rewriter: {e}"),
-            PalError::Closed => write!(f, "extension already closed"),
-        }
-    }
-}
-
-impl std::error::Error for PalError {}
-
-impl From<SpawnError> for PalError {
-    fn from(e: SpawnError) -> PalError {
-        PalError::Spawn(e)
-    }
-}
-
-impl From<DlError> for PalError {
-    fn from(e: DlError) -> PalError {
-        PalError::Dl(e)
-    }
-}
-
-impl From<SfiError> for PalError {
-    fn from(e: SfiError) -> PalError {
-        PalError::Sfi(e)
-    }
-}
 
 /// Why a protected extension call failed (the application survives).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,7 +139,7 @@ impl DlopenOptions {
     /// the exported functions the application intends to resolve with
     /// `seg_dlsym`; verification walks every instruction reachable from
     /// them. On rejection the extension is unloaded and the load returns
-    /// [`PalError::Verify`]; on success the handle carries a `Verified`
+    /// [`Error::Verify`]; on success the handle carries a `Verified`
     /// attestation and protected calls take the verified-dispatch fast
     /// path (unless [`predecode(false)`](Self::predecode) opts out).
     pub fn verify<S: AsRef<str>>(mut self, entries: &[S]) -> DlopenOptions {
@@ -328,14 +271,14 @@ impl ExtensibleApp {
     /// Creates an extensible application: spawns a host-driven shell task,
     /// promotes it with `init_PL`, and installs the Palladium runtime
     /// (invoke stub, fault trampoline, `AppCallGate` + its call gate).
-    pub fn new(k: &mut Kernel) -> Result<ExtensibleApp, PalError> {
+    pub fn new(k: &mut Kernel) -> Result<ExtensibleApp, Error> {
         let shell = Assembler::assemble("_start:\nspin:\njmp spin\n").expect("shell");
         let tid = k.spawn(&shell, &BTreeMap::new())?;
         k.switch_to(tid);
 
         let r = k.palladium_init_pl();
         if r != 0 {
-            return Err(PalError::Kernel("init_PL", r));
+            return Err(Error::Kernel("init_PL", r));
         }
 
         // Application trampoline region: PPL 0, writable (holds the save
@@ -362,7 +305,7 @@ impl ExtensibleApp {
 
         let gate = k.palladium_set_call_gate(callgate_addr);
         if gate < 0 {
-            return Err(PalError::Kernel("set_call_gate", gate));
+            return Err(Error::Kernel("set_call_gate", gate));
         }
         k.host_set_signal_handler(tid, Some(fault_stub));
 
@@ -383,10 +326,10 @@ impl ExtensibleApp {
         })
     }
 
-    fn tramp_alloc(&mut self, len: u32) -> Result<u32, PalError> {
+    fn tramp_alloc(&mut self, len: u32) -> Result<u32, Error> {
         let at = self.tramp_next;
         if at + len > self.tramp_end {
-            return Err(PalError::Spawn(SpawnError::OutOfMemory));
+            return Err(Error::Spawn(SpawnError::OutOfMemory));
         }
         self.tramp_next = at + len;
         Ok(at)
@@ -394,14 +337,14 @@ impl ExtensibleApp {
 
     /// Loads a shared library: its code pages are mapped PPL 1 (read-only)
     /// so extensions can call the non-buffering routines directly.
-    pub fn load_shared_lib(&mut self, k: &mut Kernel, obj: &Object) -> Result<u32, PalError> {
+    pub fn load_shared_lib(&mut self, k: &mut Kernel, obj: &Object) -> Result<u32, Error> {
         // Loader writes resolve through the owning task's page tables.
         k.switch_to(self.tid);
         let pages = (obj.len() as u32).div_ceil(PAGE_SIZE).max(1);
         let base = k.host_mmap(self.tid, pages, true, true, AreaKind::SharedLib)?;
         let image = obj
             .link(base, &BTreeMap::new())
-            .map_err(|e| PalError::Link(e.to_string()))?;
+            .map_err(|e| Error::Link(e.to_string()))?;
         assert!(k.m.host_write(base, &image));
         // Seal read-only: extensions (and the app) execute but never write.
         k.host_set_page_flags(self.tid, base, pages, 0, pte::RW);
@@ -420,7 +363,7 @@ impl ExtensibleApp {
     }
 
     /// Loads the standard mini-libc as a shared library.
-    pub fn load_libc(&mut self, k: &mut Kernel) -> Result<u32, PalError> {
+    pub fn load_libc(&mut self, k: &mut Kernel) -> Result<u32, Error> {
         self.load_shared_lib(k, &stdlib::libc_object())
     }
 
@@ -437,14 +380,28 @@ impl ExtensibleApp {
     /// entry points: pass [`DlopenOptions::verify`] to run the static
     /// verifier over the linked image before the handle is returned
     /// (rejections unload the extension and surface as
-    /// [`PalError::Verify`]).
+    /// [`Error::Verify`]).
     pub fn dlopen(
         &mut self,
         k: &mut Kernel,
         obj: &Object,
         opts: &DlopenOptions,
-    ) -> Result<ExtensionHandle, PalError> {
-        match opts.backend_kind().unwrap_or(BackendKind::SegPaging) {
+    ) -> Result<ExtensionHandle, Error> {
+        let kind = opts.backend_kind().unwrap_or(BackendKind::SegPaging);
+        self.dlopen_as(k, obj, opts, kind)
+    }
+
+    /// As [`dlopen`](Self::dlopen), with the backend already resolved by
+    /// the caller (a [`Session`](crate::Session) falls back to its own
+    /// default rather than [`BackendKind::SegPaging`]).
+    pub(crate) fn dlopen_as(
+        &mut self,
+        k: &mut Kernel,
+        obj: &Object,
+        opts: &DlopenOptions,
+        kind: BackendKind,
+    ) -> Result<ExtensionHandle, Error> {
+        match kind {
             BackendKind::Sfi => self.dlopen_sfi(k, obj, opts),
             kind => self.dlopen_paged(k, obj, opts, kind),
         }
@@ -459,7 +416,7 @@ impl ExtensibleApp {
         obj: &Object,
         opts: &DlopenOptions,
         kind: BackendKind,
-    ) -> Result<ExtensionHandle, PalError> {
+    ) -> Result<ExtensionHandle, Error> {
         k.switch_to(self.tid);
         let stack_pages = opts.stack_pages_or_default();
         let heap_pages = opts.heap_pages_or_default();
@@ -511,7 +468,7 @@ impl ExtensibleApp {
 
         let image = obj
             .link(base, &externs)
-            .map_err(|e| PalError::Link(e.to_string()))?;
+            .map_err(|e| Error::Link(e.to_string()))?;
         assert!(k.m.host_write(base, &image));
 
         // Extension stack: PPL 1, writable. The top dword is the argument
@@ -617,7 +574,7 @@ impl ExtensibleApp {
                 }
                 Err(e) => {
                     self.seg_dlclose(k, h)?;
-                    return Err(PalError::Verify(e));
+                    return Err(Error::Verify(e));
                 }
             }
         }
@@ -630,23 +587,23 @@ impl ExtensibleApp {
     /// at the *application's* privilege level (PPL 0 — SFI needs no
     /// hardware boundary, that is its point). The object must be
     /// self-contained (no imports) branch-free code; the rewriter rejects
-    /// anything else with a typed [`PalError::Sfi`].
+    /// anything else with a typed [`Error::Sfi`].
     fn dlopen_sfi(
         &mut self,
         k: &mut Kernel,
         obj: &Object,
         opts: &DlopenOptions,
-    ) -> Result<ExtensionHandle, PalError> {
+    ) -> Result<ExtensionHandle, Error> {
         k.switch_to(self.tid);
         if !obj.undefined_symbols().is_empty() {
-            return Err(PalError::Sfi(SfiError::Unsupported("imports")));
+            return Err(Error::Sfi(SfiError::Unsupported("imports")));
         }
         // Link at base 0: the admitted subset is position-independent
         // (no relative branches, no inline data), so the image bytes are
         // the same at any base and symbol offsets are object offsets.
         let image = obj
             .link(0, &BTreeMap::new())
-            .map_err(|e| PalError::Link(e.to_string()))?;
+            .map_err(|e| Error::Link(e.to_string()))?;
 
         // Size the rewritten code with a probe rewrite — the output
         // *shape* is independent of the sandbox's base/mask values (all
@@ -748,7 +705,7 @@ impl ExtensibleApp {
 
     /// The `Verified` attestation of an extension, if it was admitted
     /// through a verifying load ([`DlopenOptions::verify`]).
-    pub fn attestation(&self, h: ExtensionHandle) -> Result<Option<Attestation>, PalError> {
+    pub fn attestation(&self, h: ExtensionHandle) -> Result<Option<Attestation>, Error> {
         Ok(self.ext(h)?.verified.clone())
     }
 
@@ -784,24 +741,24 @@ impl ExtensibleApp {
 
     /// The GOT page address of an extension, if it has imports (exposed
     /// for tests and debuggers).
-    pub fn got_page(&self, h: ExtensionHandle) -> Result<Option<u32>, PalError> {
+    pub fn got_page(&self, h: ExtensionHandle) -> Result<Option<u32>, Error> {
         Ok(self.ext(h)?.got_page)
     }
 
     /// `dlsym`: resolves a *data* symbol to its raw address (§4.4.2: data
     /// pointers need no massaging because the segments share a base).
-    pub fn dlsym(&self, h: ExtensionHandle, name: &str) -> Result<u32, PalError> {
+    pub fn dlsym(&self, h: ExtensionHandle, name: &str) -> Result<u32, Error> {
         let ext = self.ext(h)?;
         ext.symbols
             .get(name)
             .copied()
-            .ok_or_else(|| PalError::NoSymbol(name.to_string()))
+            .ok_or_else(|| Error::NoSymbol(name.to_string()))
     }
 
-    fn ext(&self, h: ExtensionHandle) -> Result<&Ext, PalError> {
-        let e = self.exts.get(h.0).ok_or(PalError::Closed)?;
+    fn ext(&self, h: ExtensionHandle) -> Result<&Ext, Error> {
+        let e = self.exts.get(h.0).ok_or(Error::Closed)?;
         if e.closed {
-            return Err(PalError::Closed);
+            return Err(Error::Closed);
         }
         Ok(e)
     }
@@ -814,7 +771,7 @@ impl ExtensibleApp {
         k: &mut Kernel,
         h: ExtensionHandle,
         name: &str,
-    ) -> Result<u32, PalError> {
+    ) -> Result<u32, Error> {
         k.switch_to(self.tid);
         let backend = self.ext(h)?.backend;
         {
@@ -830,7 +787,7 @@ impl ExtensibleApp {
                 .ext(h)?
                 .symbols
                 .get(name)
-                .ok_or_else(|| PalError::NoSymbol(name.to_string()))?;
+                .ok_or_else(|| Error::NoSymbol(name.to_string()))?;
             let exts = std::sync::Arc::make_mut(&mut self.exts);
             exts[h.0].preps.insert(name.to_string(), (addr, addr));
             return Ok(addr);
@@ -840,7 +797,7 @@ impl ExtensibleApp {
             let fn_addr = *ext
                 .symbols
                 .get(name)
-                .ok_or_else(|| PalError::NoSymbol(name.to_string()))?;
+                .ok_or_else(|| Error::NoSymbol(name.to_string()))?;
             (fn_addr, ext.arg_slot, ext.esp_slot, ext.tramp3_next)
         };
 
@@ -857,7 +814,7 @@ impl ExtensibleApp {
         });
         let tbytes = encode_program(&transfer_code);
         if tramp3_at + tbytes.len() as u32 > self.ext(h)?.tramp3_base + PAGE_SIZE {
-            return Err(PalError::Spawn(SpawnError::OutOfMemory));
+            return Err(Error::Spawn(SpawnError::OutOfMemory));
         }
         assert!(k.m.host_write(tramp3_at, &tbytes));
         if backend == BackendKind::ProtKeys {
@@ -891,7 +848,7 @@ impl ExtensibleApp {
     /// `seg_dlclose`: unmaps nothing physically (frames are not recycled
     /// in this simulator) but revokes the extension's pages by clearing
     /// their PTEs' user bit, making any further call fault.
-    pub fn seg_dlclose(&mut self, k: &mut Kernel, h: ExtensionHandle) -> Result<(), PalError> {
+    pub fn seg_dlclose(&mut self, k: &mut Kernel, h: ExtensionHandle) -> Result<(), Error> {
         k.switch_to(self.tid);
         let (base, pages, backend) = {
             let e = self.ext(h)?;
@@ -926,12 +883,12 @@ impl ExtensibleApp {
     }
 
     /// The backend guarding an extension.
-    pub fn backend_of(&self, h: ExtensionHandle) -> Result<BackendKind, PalError> {
+    pub fn backend_of(&self, h: ExtensionHandle) -> Result<BackendKind, Error> {
         Ok(self.ext(h)?.backend)
     }
 
     /// The SFI sandbox region of a [`BackendKind::Sfi`] extension.
-    pub fn sandbox_of(&self, h: ExtensionHandle) -> Result<Option<(u32, u32)>, PalError> {
+    pub fn sandbox_of(&self, h: ExtensionHandle) -> Result<Option<(u32, u32)>, Error> {
         Ok(self.ext(h)?.sandbox)
     }
 
@@ -942,25 +899,36 @@ impl ExtensibleApp {
         self.slots.sp_slot
     }
 
-    /// True if `site` is a Transfer trampoline address of an *open*
-    /// ProtKeys extension — i.e. a key gate that is supposed to exist.
-    pub(crate) fn owns_key_gate(&self, site: u32) -> bool {
-        self.exts.iter().any(|e| {
-            !e.closed
-                && e.backend == BackendKind::ProtKeys
-                && e.preps.values().any(|&(_, t)| t == site)
-        })
-    }
-
-    /// Leak audit shared by every backend: a closed extension must not
-    /// keep resolvable entry points.
-    pub(crate) fn audit_closed_extensions(&self) -> Vec<String> {
-        self.exts
+    /// Audits for protection state leaked past an unload; one
+    /// human-readable finding per leak, empty when clean.
+    ///
+    /// A closed extension must keep no resolvable entry points, and every
+    /// registered `wrpkru` key gate must be the `Transfer` trampoline of
+    /// an *open* [`BackendKind::ProtKeys`] extension (Garmr-style gate
+    /// integrity: the gate, not the sandbox, is what an attacker goes
+    /// for). Only ProtKeys loads register gates, so the gate check finds
+    /// nothing for the other backends unless something else leaked one.
+    pub fn leak_audit(&self, k: &Kernel) -> Vec<String> {
+        let mut findings: Vec<String> = self
+            .exts
             .iter()
             .enumerate()
             .filter(|(_, e)| e.closed && !e.preps.is_empty())
             .map(|(i, _)| format!("closed extension #{i} still has resolvable entry points"))
-            .collect()
+            .collect();
+        for site in k.m.key_gate_sites() {
+            let owned = self.exts.iter().any(|e| {
+                !e.closed
+                    && e.backend == BackendKind::ProtKeys
+                    && e.preps.values().any(|&(_, t)| t == site)
+            });
+            if !owned {
+                findings.push(format!(
+                    "stale key gate at {site:#010x} (no open extension)"
+                ));
+            }
+        }
+        findings
     }
 
     /// Re-installs the simulator proof tokens of every open verified
@@ -1061,12 +1029,12 @@ impl ExtensibleApp {
     /// Allocates a shared data area: mmapped by the (SPL 2) application —
     /// hence PPL 0 — then exposed with `set_range` (PPL 1). Both the
     /// application and its extensions can read and write it.
-    pub fn alloc_shared(&mut self, k: &mut Kernel, pages: u32) -> Result<u32, PalError> {
+    pub fn alloc_shared(&mut self, k: &mut Kernel, pages: u32) -> Result<u32, Error> {
         k.switch_to(self.tid);
         let addr = k.host_mmap(self.tid, pages, true, false, AreaKind::Anon)?;
         let r = k.palladium_set_range(addr, pages * PAGE_SIZE);
         if r != 0 {
-            return Err(PalError::Kernel("set_range", r));
+            return Err(Error::Kernel("set_range", r));
         }
         Ok(addr)
     }
@@ -1075,7 +1043,7 @@ impl ExtensibleApp {
     /// `ServiceEntry` wrapper around `impl_addr` (SPL 2 guest code) and
     /// registers a DPL 3 call gate for it. Returns the gate selector the
     /// extension should `lcall`.
-    pub fn register_service(&mut self, k: &mut Kernel, impl_addr: u32) -> Result<u16, PalError> {
+    pub fn register_service(&mut self, k: &mut Kernel, impl_addr: u32) -> Result<u16, Error> {
         k.switch_to(self.tid);
         // Generate at a known location (two-pass: reserve, then write).
         let probe = trampoline::service_entry(0, impl_addr);
@@ -1088,7 +1056,7 @@ impl ExtensibleApp {
         k.switch_to(self.tid);
         let gate = k.palladium_set_call_gate(at);
         if gate < 0 {
-            return Err(PalError::Kernel("set_call_gate", gate));
+            return Err(Error::Kernel("set_call_gate", gate));
         }
         self.service_gates.push(gate as u16);
         Ok(gate as u16)
@@ -1215,7 +1183,7 @@ impl ExtensibleApp {
         &mut self,
         k: &mut Kernel,
         obj: &Object,
-    ) -> Result<BTreeMap<String, u32>, PalError> {
+    ) -> Result<BTreeMap<String, u32>, Error> {
         self.install_app_code_linked(k, obj, &BTreeMap::new())
     }
 
@@ -1227,12 +1195,12 @@ impl ExtensibleApp {
         k: &mut Kernel,
         obj: &Object,
         externs: &BTreeMap<String, u32>,
-    ) -> Result<BTreeMap<String, u32>, PalError> {
+    ) -> Result<BTreeMap<String, u32>, Error> {
         k.switch_to(self.tid);
         let at = self.tramp_alloc(obj.len() as u32)?;
         let image = obj
             .link(at, externs)
-            .map_err(|e| PalError::Link(e.to_string()))?;
+            .map_err(|e| Error::Link(e.to_string()))?;
         assert!(k.m.host_write(at, &image));
         Ok(obj
             .symbols
@@ -1323,17 +1291,14 @@ fn get_ext(d: &mut Dec) -> Result<Ext, RestoreError> {
 /// SFI rewriter (whose transformation is per-instruction local), and
 /// re-encodes — returning the rewritten bytes plus the map from input
 /// byte offsets to output byte offsets that relocates function symbols.
-fn sfi_rewrite_image(
-    image: &[u8],
-    sb: &Sandbox,
-) -> Result<(Vec<u8>, BTreeMap<u32, u32>), PalError> {
+fn sfi_rewrite_image(image: &[u8], sb: &Sandbox) -> Result<(Vec<u8>, BTreeMap<u32, u32>), Error> {
     let mut out = Vec::new();
     let mut map = BTreeMap::new();
     let mut in_off = 0usize;
     let mut out_len = 0u32;
     while in_off < image.len() {
         let (insn, len) = decode(&image[in_off..])
-            .map_err(|_| PalError::Sfi(SfiError::Unsupported("undecodable bytes (inline data)")))?;
+            .map_err(|_| Error::Sfi(SfiError::Unsupported("undecodable bytes (inline data)")))?;
         let (rewritten, _) = sfi::rewrite(&[insn], sb, SfiPolicy::WriteProtect)?;
         map.insert(in_off as u32, out_len);
         let bytes = encode_program(&rewritten);

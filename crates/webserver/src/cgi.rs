@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use asm86::Assembler;
 use minikernel::Kernel;
-use palladium::user_ext::{DlopenOptions, ExtensibleApp, ExtensionHandle, PalError};
+use palladium::user_ext::{DlopenOptions, ExtensibleApp, ExtensionHandle};
 
 use crate::http::{self, Request};
 use crate::netcost::{cpu_rps, Link, ServerCosts};
@@ -68,7 +68,7 @@ impl ExecModel {
 #[derive(Debug)]
 pub enum ServerError {
     /// Palladium setup failed.
-    Pal(PalError),
+    Palladium(palladium::Error),
     /// The protected script call failed.
     ScriptFault(String),
     /// Request parsing failed.
@@ -80,7 +80,7 @@ pub enum ServerError {
 impl core::fmt::Display for ServerError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            ServerError::Pal(e) => write!(f, "palladium: {e}"),
+            ServerError::Palladium(e) => write!(f, "palladium: {e}"),
             ServerError::ScriptFault(e) => write!(f, "script fault: {e}"),
             ServerError::Http(e) => write!(f, "http: {e}"),
             ServerError::NotFound(p) => write!(f, "not found: {p}"),
@@ -90,9 +90,9 @@ impl core::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-impl From<PalError> for ServerError {
-    fn from(e: PalError) -> ServerError {
-        ServerError::Pal(e)
+impl From<palladium::Error> for ServerError {
+    fn from(e: palladium::Error) -> ServerError {
+        ServerError::Palladium(e)
     }
 }
 

@@ -463,7 +463,10 @@ impl<'a> ImageView<'a> {
         let meta = d.blob()?;
         let nsec = d.u32()?;
 
-        let mut sections = Vec::with_capacity(nsec as usize);
+        // The count is unverified until the trailer CRC: bound the
+        // allocation by what the bytes can hold (each table entry is at
+        // least an id, a length and a CRC, 12 bytes).
+        let mut sections = Vec::with_capacity((nsec as usize).min(d.remaining() / 12));
         let mut d = Dec {
             section: "section table",
             ..d

@@ -24,7 +24,7 @@ use chaos::verify::{kernel_policy, verify_object, VerifyOutcome};
 use minikernel::Kernel;
 use netfilter::{extended_conjunction, paper_conjunction};
 use palladium::user_ext::{DlopenOptions, ExtensibleApp};
-use palladium::{KernelExtensions, KextError, PalError, SegmentConfig, VerifyError};
+use palladium::{Error, KernelExtensions, KextError, SegmentConfig, VerifyError};
 use seedrng::SeedRng;
 
 struct Audit {
@@ -101,7 +101,7 @@ fn user_extensions(a: &mut Audit) {
     for (what, entry, src) in hostile {
         let obj = Assembler::assemble(&src).expect("assembles");
         match app.dlopen(&mut k, &obj, &DlopenOptions::new().verify(&[entry])) {
-            Err(PalError::Verify(e)) => a.expect(what, true, &format!("rejected: {e}")),
+            Err(Error::Verify(e)) => a.expect(what, true, &format!("rejected: {e}")),
             Ok(_) => a.expect(what, false, "hostile extension was admitted"),
             Err(e) => a.expect(what, false, &format!("wrong error class: {e}")),
         }

@@ -1,4 +1,4 @@
-//! Backend conformance: every [`palladium::IsolationBackend`] must pass
+//! Backend conformance: every [`BackendKind`] must pass
 //! the same lifecycle, containment and durability scenarios.
 //!
 //! The suite runs each scenario against each [`BackendKind`] and asserts
@@ -8,7 +8,7 @@
 //! survives with its private state intact.
 #![warn(clippy::pedantic)]
 
-use palladium::backend::{backend_for, BackendKind, FaultAttribution};
+use palladium::backend::{BackendKind, FaultAttribution};
 use palladium::{DlopenOptions, Error, Session};
 
 fn obj(src: &str) -> asm86::Object {
@@ -57,13 +57,13 @@ fn wild_write_containment_parity() {
 
         match (kind, s.call(f, victim)) {
             (BackendKind::SegPaging, Err(Error::Call(e))) => assert_eq!(
-                backend_for(kind).attribute_fault(&e),
+                e.attribution(),
                 FaultAttribution::Contained {
                     check: "page-protection"
                 },
             ),
             (BackendKind::ProtKeys, Err(Error::Call(e))) => assert_eq!(
-                backend_for(kind).attribute_fault(&e),
+                e.attribution(),
                 FaultAttribution::Contained { check: "page-key" },
             ),
             // SFI redirects instead of faulting: the call completes.
@@ -96,10 +96,9 @@ fn privilege_escalation_parity() {
             Ok(h) => {
                 let f = s.dlsym(h, "bad").unwrap();
                 match s.call(f, 0) {
-                    Err(Error::Call(e)) => matches!(
-                        backend_for(kind).attribute_fault(&e),
-                        FaultAttribution::Contained { .. }
-                    ),
+                    Err(Error::Call(e)) => {
+                        matches!(e.attribution(), FaultAttribution::Contained { .. })
+                    }
                     other => panic!("{kind}: hlt must not retire, got {other:?}"),
                 }
             }
@@ -125,7 +124,7 @@ fn quarantine_and_restart_parity() {
         assert_eq!(s.call(f2, 10).unwrap(), 20, "{kind}: restart failed");
 
         // The unload left no protection state behind.
-        let findings = backend_for(kind).leak_audit(s.kernel(), s.app());
+        let findings = s.leak_audit();
         assert!(
             findings.is_empty(),
             "{kind}: leaks after restart: {findings:?}"

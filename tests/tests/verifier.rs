@@ -8,8 +8,8 @@ use asm86::Assembler;
 use minikernel::Kernel;
 use palladium::kernel_ext::{KernelExtensions, KextError, SegmentConfig};
 use palladium::supervisor::{ModuleImage, RestartPolicy, SupervisedState, Supervisor};
-use palladium::user_ext::{DlopenOptions, ExtensibleApp, PalError};
-use palladium::VerifyError;
+use palladium::user_ext::{DlopenOptions, ExtensibleApp};
+use palladium::{Error, VerifyError};
 use seedrng::SeedRng;
 
 fn obj(src: &str) -> asm86::Object {
@@ -226,7 +226,7 @@ fn verified_user_extension_round_trip() {
     assert_eq!(app.verified_calls, 1);
 }
 
-/// A hostile extension is rejected with `PalError::Verify` and unloaded;
+/// A hostile extension is rejected with `Error::Verify` and unloaded;
 /// the application keeps working and can load a benign one afterwards.
 #[test]
 fn hostile_user_extension_rejected_and_unloaded() {
@@ -237,7 +237,7 @@ fn hostile_user_extension_rejected_and_unloaded() {
         minikernel::USER_TEXT
     ));
     match app.dlopen(&mut k, &evil, &DlopenOptions::new().verify(&["evil"])) {
-        Err(PalError::Verify(VerifyError::OutOfSegment { .. })) => {}
+        Err(Error::Verify(VerifyError::OutOfSegment { .. })) => {}
         other => panic!("expected out-of-segment rejection, got {other:?}"),
     }
 
