@@ -1167,9 +1167,9 @@ pub fn measure_startup() -> Vec<StartupPoint> {
 // ----- durable checkpoints (the "durability" JSON section) -----------------
 
 /// Save/restore cost of one durable world image
-/// ([`x86sim::Machine::save_image`] and the layered images stacked on
-/// it): how many bytes the image is and how long a save / restore takes
-/// on the host.
+/// ([`x86sim::Machine::save_image`] and the layers that append their
+/// sections to it): how many bytes the image is and how long a save /
+/// restore takes on the host.
 ///
 /// Image bytes are deterministic per world; only the two latency
 /// columns vary between runs.
@@ -1465,8 +1465,8 @@ mod tests {
         let pts = measure_durability();
         let worlds: Vec<&str> = pts.iter().map(|p| p.world).collect();
         assert_eq!(worlds, ["machine", "kernel", "session", "replica"]);
-        // Each layer's image embeds the previous one plus its own
-        // tables, so sizes are strictly increasing.
+        // Each layer's image holds the previous layer's sections plus
+        // its own, so sizes are strictly increasing.
         for w in pts.windows(2) {
             assert!(
                 w[1].image_bytes > w[0].image_bytes,

@@ -152,15 +152,15 @@ impl StateOracle {
         let text_snapshot = d.blob()?.to_vec();
         let canary_addr = d.u32()?;
         let canary_value = d.u32()?;
-        let n = d.u32()?;
-        let mut watched_descriptors = Vec::with_capacity(n as usize);
+        let n = d.count(3)?;
+        let mut watched_descriptors = Vec::with_capacity(n);
         for _ in 0..n {
             let idx = d.u16()?;
             let desc = image::get_descriptor(d)?;
             watched_descriptors.push((idx, desc));
         }
-        let n = d.u32()?;
-        let mut got_pages = Vec::with_capacity(n as usize);
+        let n = d.count(4)?;
+        let mut got_pages = Vec::with_capacity(n);
         for _ in 0..n {
             got_pages.push(d.u32()?);
         }

@@ -10,7 +10,7 @@ use palladium::user_ext::ExtensibleApp;
 use seedrng::SeedRng;
 use webserver::http;
 use webserver::workload::jittered_get;
-use x86sim::image::{kind, Enc, ImageBuilder, ImageView, RestoreError};
+use x86sim::image::{base, kind, Enc, ImageBuilder, ImageView, RestoreError};
 
 /// Kernel canary word planted outside every extension segment; the
 /// oracle checks it after every round.
@@ -248,31 +248,29 @@ impl Replica {
 
     // ----- durable checkpoints ----------------------------------------------
 
-    /// Serializes the whole replica world — kernel (with the machine
-    /// image inside), application, kernel-extension table, supervisor,
-    /// containment oracle, counters and the request-stream RNG — into a
-    /// standalone, integrity-checked image.
+    /// Serializes the whole replica world — the kernel's and machine's
+    /// sections, then the application, kernel-extension table,
+    /// supervisor, containment oracle, counters and the request-stream
+    /// RNG — into one standalone, integrity-checked image.
     ///
     /// A [`restore`](Replica::restore)d replica is cycle-, stat- and
     /// fault-identical going forward: it re-serves exactly the rounds the
     /// original would have served from the checkpoint instant.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut b = ImageBuilder::new(kind::REPLICA);
-        let mut sec = Enc::new();
-        sec.blob(&self.k.save_image());
-        b.section(1, sec);
+        self.k.save_sections(&mut b);
         let mut sec = Enc::new();
         self.app.save_into(&mut sec);
-        b.section(2, sec);
+        b.section(base::APP + 1, sec);
         let mut sec = Enc::new();
         self.kx.save_into(&mut sec);
-        b.section(3, sec);
+        b.section(base::REPLICA + 1, sec);
         let mut sec = Enc::new();
         self.sup.save_into(&mut sec);
-        b.section(4, sec);
+        b.section(base::REPLICA + 2, sec);
         let mut sec = Enc::new();
         self.oracle.save_into(&mut sec);
-        b.section(5, sec);
+        b.section(base::REPLICA + 3, sec);
         let mut sec = Enc::new();
         sec.u32(self.ext.index() as u32);
         sec.u64(self.stats.served);
@@ -293,7 +291,7 @@ impl Replica {
         sec.u64(self.rng.state());
         sec.u32(self.rounds_served);
         sec.bool(self.failed_closed);
-        b.section(6, sec);
+        b.section(base::REPLICA + 4, sec);
         b.finish()
     }
 
@@ -303,22 +301,20 @@ impl Replica {
     /// [`RestoreError`]; a tampered image is never silently restored.
     pub fn restore(bytes: &[u8]) -> Result<Replica, RestoreError> {
         let view = ImageView::parse(bytes, kind::REPLICA)?;
-        let mut d = view.require(1, "replica.kernel")?;
-        let k = Kernel::restore_image(d.blob()?)?;
-        d.finish()?;
-        let mut d = view.require(2, "replica.app")?;
+        let k = Kernel::restore_sections(&view)?;
+        let mut d = view.require(base::APP + 1, "replica.app")?;
         let app = ExtensibleApp::restore_from(&mut d)?;
         d.finish()?;
-        let mut d = view.require(3, "replica.kx")?;
+        let mut d = view.require(base::REPLICA + 1, "replica.kx")?;
         let kx = KernelExtensions::restore_from(&mut d)?;
         d.finish()?;
-        let mut d = view.require(4, "replica.sup")?;
+        let mut d = view.require(base::REPLICA + 2, "replica.sup")?;
         let sup = Supervisor::restore_from(&mut d)?;
         d.finish()?;
-        let mut d = view.require(5, "replica.oracle")?;
+        let mut d = view.require(base::REPLICA + 3, "replica.oracle")?;
         let oracle = StateOracle::restore_from(&mut d)?;
         d.finish()?;
-        let mut d = view.require(6, "replica.state")?;
+        let mut d = view.require(base::REPLICA + 4, "replica.state")?;
         let ext = SupervisedId::from_index(d.u32()? as usize);
         let stats = ReplicaStats {
             served: d.u64()?,
@@ -331,13 +327,13 @@ impl Replica {
             degraded: d.u32()?,
             dropped: d.u32()?,
         };
-        let n = d.u32()?;
-        let mut violations = Vec::with_capacity(n as usize);
+        let n = d.count(4)?;
+        let mut violations = Vec::with_capacity(n);
         for _ in 0..n {
             violations.push(d.str()?);
         }
-        let n = d.u32()?;
-        let mut leak_failures = Vec::with_capacity(n as usize);
+        let n = d.count(4)?;
+        let mut leak_failures = Vec::with_capacity(n);
         for _ in 0..n {
             leak_failures.push(d.str()?);
         }

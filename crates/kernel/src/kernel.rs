@@ -13,7 +13,7 @@ use asm86::isa::{Reg, SegReg};
 use asm86::Object;
 use x86sim::desc::{Descriptor, Selector};
 use x86sim::fault::Fault;
-use x86sim::image::{self, kind, Dec, Enc, ImageBuilder, ImageView, RestoreError};
+use x86sim::image::{self, base, kind, Dec, Enc, ImageBuilder, ImageView, RestoreError};
 use x86sim::machine::{Exit, IdtGate, Machine};
 use x86sim::mem::{FrameAlloc, PAGE_SIZE};
 use x86sim::paging::{get_pte, map_page, pte, update_pte_flags};
@@ -1357,25 +1357,28 @@ impl Kernel {
 
     // ----- durable checkpoints ------------------------------------------------
 
-    /// Serializes the whole kernel world — the machine image plus the
-    /// frame allocator, cost table, selectors, console, statistics, the
-    /// task table and the kernel-VA allocator — into a versioned,
+    /// Serializes the whole kernel world into a versioned,
     /// integrity-checked image (see [`x86sim::image`]).
-    ///
-    /// The embedded machine image already excludes derived state
-    /// (predecode caches, translation memos); the kernel adds nothing
-    /// derived of its own, so a restored kernel is cycle- and
-    /// stat-identical going forward.
     pub fn save_image(&self) -> Vec<u8> {
         let mut b = ImageBuilder::new(kind::KERNEL);
+        self.save_sections(&mut b);
+        b.finish()
+    }
 
-        let mut e = Enc::new();
-        e.blob(&self.m.save_image());
-        b.section(1, e);
+    /// Appends the machine's sections, then the kernel's own (ids from
+    /// [`base::KERNEL`]): the frame allocator, cost table, selectors,
+    /// console, statistics, the task table and the kernel-VA allocator.
+    ///
+    /// The machine sections already exclude derived state (predecode
+    /// caches, translation memos); the kernel adds nothing derived of
+    /// its own, so a restored kernel is cycle- and stat-identical going
+    /// forward.
+    pub fn save_sections(&self, b: &mut ImageBuilder) {
+        self.m.save_sections(b);
 
         let mut e = Enc::new();
         self.frames.save_into(&mut e);
-        b.section(2, e);
+        b.section(base::KERNEL + 1, e);
 
         let mut e = Enc::new();
         let c = &self.costs;
@@ -1396,7 +1399,7 @@ impl Kernel {
         ] {
             e.u64(v);
         }
-        b.section(3, e);
+        b.section(base::KERNEL + 2, e);
 
         let mut e = Enc::new();
         for s in [
@@ -1409,11 +1412,11 @@ impl Kernel {
         ] {
             e.u16(s.0);
         }
-        b.section(4, e);
+        b.section(base::KERNEL + 3, e);
 
         let mut e = Enc::new();
         e.blob(&self.console);
-        b.section(5, e);
+        b.section(base::KERNEL + 4, e);
 
         let mut e = Enc::new();
         for v in [
@@ -1427,7 +1430,7 @@ impl Kernel {
         ] {
             e.u64(v);
         }
-        b.section(6, e);
+        b.section(base::KERNEL + 5, e);
 
         let mut e = Enc::new();
         e.u64(self.extension_cycle_limit);
@@ -1435,14 +1438,14 @@ impl Kernel {
         if let Some(f) = &self.last_fault {
             image::put_fault(&mut e, f);
         }
-        b.section(7, e);
+        b.section(base::KERNEL + 6, e);
 
         let mut e = Enc::new();
         e.u32(self.tasks.len() as u32);
         for task in self.tasks.values() {
             put_task(&mut e, task);
         }
-        b.section(8, e);
+        b.section(base::KERNEL + 7, e);
 
         let mut e = Enc::new();
         e.bool(self.current.is_some());
@@ -1450,7 +1453,7 @@ impl Kernel {
             e.u32(tid);
         }
         e.u32(self.next_tid);
-        b.section(9, e);
+        b.section(base::KERNEL + 8, e);
 
         let mut e = Enc::new();
         e.u32(self.kernel_pdes.len() as u32);
@@ -1465,27 +1468,27 @@ impl Kernel {
             e.u32(*base);
             e.u32(*pages);
         }
-        b.section(10, e);
-
-        b.finish()
+        b.section(base::KERNEL + 9, e);
     }
 
     /// Restores a kernel world from [`save_image`](Self::save_image)
-    /// bytes. Every integrity check of the image format applies; a
-    /// tampered or truncated image is rejected with a typed error and no
-    /// partially-restored kernel ever escapes.
+    /// bytes.
     pub fn restore_image(bytes: &[u8]) -> Result<Kernel, RestoreError> {
-        let v = ImageView::parse(bytes, kind::KERNEL)?;
+        Kernel::restore_sections(&ImageView::parse(bytes, kind::KERNEL)?)
+    }
 
-        let mut d = v.require(1, "machine")?;
-        let m = Machine::restore_image(d.blob()?)?;
-        d.finish()?;
+    /// Restores a kernel world from the machine and [`base::KERNEL`]
+    /// sections of a verified image. Every integrity check of the image
+    /// format applies; a tampered or truncated image is rejected with a
+    /// typed error and no partially-restored kernel ever escapes.
+    pub fn restore_sections(v: &ImageView<'_>) -> Result<Kernel, RestoreError> {
+        let m = Machine::restore_sections(v)?;
 
-        let mut d = v.require(2, "frames")?;
+        let mut d = v.require(base::KERNEL + 1, "frames")?;
         let frames = FrameAlloc::restore_from(&mut d)?;
         d.finish()?;
 
-        let mut d = v.require(3, "costs")?;
+        let mut d = v.require(base::KERNEL + 2, "costs")?;
         let costs = KernelCosts {
             syscall_dispatch: d.u64()?,
             pagefault_handler: d.u64()?,
@@ -1503,7 +1506,7 @@ impl Kernel {
         };
         d.finish()?;
 
-        let mut d = v.require(4, "selectors")?;
+        let mut d = v.require(base::KERNEL + 3, "selectors")?;
         let sel = Selectors {
             kcode: Selector(d.u16()?),
             kdata: Selector(d.u16()?),
@@ -1514,11 +1517,11 @@ impl Kernel {
         };
         d.finish()?;
 
-        let mut d = v.require(5, "console")?;
+        let mut d = v.require(base::KERNEL + 4, "console")?;
         let console = d.blob()?.to_vec();
         d.finish()?;
 
-        let mut d = v.require(6, "stats")?;
+        let mut d = v.require(base::KERNEL + 5, "stats")?;
         let stats = KernelStats {
             syscalls: d.u64()?,
             syscalls_rejected: d.u64()?,
@@ -1530,7 +1533,7 @@ impl Kernel {
         };
         d.finish()?;
 
-        let mut d = v.require(7, "limits")?;
+        let mut d = v.require(base::KERNEL + 6, "limits")?;
         let extension_cycle_limit = d.u64()?;
         let last_fault = if d.bool()? {
             Some(image::get_fault(&mut d)?)
@@ -1539,7 +1542,7 @@ impl Kernel {
         };
         d.finish()?;
 
-        let mut d = v.require(8, "tasks")?;
+        let mut d = v.require(base::KERNEL + 7, "tasks")?;
         let ntasks = d.u32()?;
         let mut tasks = BTreeMap::new();
         let mut last_tid = None;
@@ -1553,7 +1556,7 @@ impl Kernel {
         }
         d.finish()?;
 
-        let mut d = v.require(9, "sched")?;
+        let mut d = v.require(base::KERNEL + 8, "sched")?;
         let current = if d.bool()? { Some(d.u32()?) } else { None };
         if let Some(tid) = current {
             if !tasks.contains_key(&tid) {
@@ -1563,9 +1566,9 @@ impl Kernel {
         let next_tid = d.u32()?;
         d.finish()?;
 
-        let mut d = v.require(10, "kva")?;
-        let npdes = d.u32()?;
-        let mut kernel_pdes = Vec::with_capacity(npdes as usize);
+        let mut d = v.require(base::KERNEL + 9, "kva")?;
+        let npdes = d.count(8)?;
+        let mut kernel_pdes = Vec::with_capacity(npdes);
         for _ in 0..npdes {
             let idx = d.u32()?;
             let val = d.u32()?;
@@ -1573,8 +1576,8 @@ impl Kernel {
         }
         let kernel_cr3 = d.u32()?;
         let kva_next = d.u32()?;
-        let nfree = d.u32()?;
-        let mut kva_free = Vec::with_capacity(nfree as usize);
+        let nfree = d.count(8)?;
+        let mut kva_free = Vec::with_capacity(nfree);
         for _ in 0..nfree {
             let base = d.u32()?;
             let pages = d.u32()?;
@@ -1683,8 +1686,8 @@ fn get_task(d: &mut Dec) -> Result<Task, RestoreError> {
     let exit_code = if d.bool()? { Some(d.i32()?) } else { None };
     let brk = d.u32()?;
     let ldt = image::get_descriptor_table(d)?;
-    let nmsgs = d.u32()?;
-    let mut mailbox = std::collections::VecDeque::with_capacity(nmsgs as usize);
+    let nmsgs = d.count(8)?;
+    let mut mailbox = std::collections::VecDeque::with_capacity(nmsgs);
     for _ in 0..nmsgs {
         let sender = d.u32()?;
         let payload = d.blob()?.to_vec();

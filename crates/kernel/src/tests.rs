@@ -1327,8 +1327,9 @@ mod checkpoint {
         let mut k = Kernel::boot();
         spawn(&mut k, &busy_src());
         let img = k.save_image();
-        // A bit flip inside the embedded machine blob must surface as a
-        // typed error, never a silently-wrong kernel.
+        // A bit flip inside the machine's sections (mid-image: the
+        // frames) must surface as a typed error, never a silently-wrong
+        // kernel.
         let mut bad = img.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x10;

@@ -61,8 +61,8 @@ pub(crate) fn put_str_vec(e: &mut Enc, v: &[String]) {
 }
 
 pub(crate) fn get_str_vec(d: &mut Dec) -> Result<Vec<String>, RestoreError> {
-    let n = d.u32()?;
-    let mut out = Vec::with_capacity(n as usize);
+    let n = d.count(4)?;
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(d.str()?);
     }
@@ -219,8 +219,8 @@ pub(crate) fn get_object(d: &mut Dec) -> Result<Object, RestoreError> {
     let bytes = d.blob()?.to_vec();
     let symbols = get_str_u32_map(d)?;
     let abs_symbols = get_str_u32_map(d)?;
-    let nrelocs = d.u32()?;
-    let mut relocs = Vec::with_capacity(nrelocs as usize);
+    let nrelocs = d.count(13)?;
+    let mut relocs = Vec::with_capacity(nrelocs);
     for _ in 0..nrelocs {
         let offset = d.u32()?;
         let sym = d.str()?;

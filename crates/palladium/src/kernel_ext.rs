@@ -1284,8 +1284,8 @@ impl KernelExtensions {
 
     /// Rebuilds the mechanism from [`save_into`](Self::save_into) bytes.
     pub fn restore_from(d: &mut Dec) -> Result<KernelExtensions, RestoreError> {
-        let nsegs = d.u32()?;
-        let mut segments = Vec::with_capacity(nsegs as usize);
+        let nsegs = d.count(16)?;
+        let mut segments = Vec::with_capacity(nsegs);
         for _ in 0..nsegs {
             segments.push(get_segment(d)?);
         }
@@ -1299,8 +1299,8 @@ impl KernelExtensions {
         let aborts = d.u64()?;
         let calls = d.u64()?;
         let default_config = get_config(d)?;
-        let npool = d.u32()?;
-        let mut desc_pool = Vec::with_capacity(npool as usize);
+        let npool = d.count(2)?;
+        let mut desc_pool = Vec::with_capacity(npool);
         for _ in 0..npool {
             desc_pool.push(d.u16()?);
         }
@@ -1576,8 +1576,8 @@ fn get_segment(d: &mut Dec) -> Result<ExtSegment, RestoreError> {
         let faulted = d.bool()?;
         tombstones.insert(name, Tombstone { module, faulted });
     }
-    let nqueue = d.u32()?;
-    let mut queue = VecDeque::with_capacity(nqueue as usize);
+    let nqueue = d.count(8)?;
+    let mut queue = VecDeque::with_capacity(nqueue);
     for _ in 0..nqueue {
         let func = d.str()?;
         let arg = d.u32()?;
@@ -1587,13 +1587,13 @@ fn get_segment(d: &mut Dec) -> Result<ExtSegment, RestoreError> {
     let config = get_config(d)?;
     let reclaimed = d.bool()?;
     let reclaim_record = if d.bool()? {
-        let nranges = d.u32()?;
-        let mut page_ranges = Vec::with_capacity(nranges as usize);
+        let nranges = d.count(8)?;
+        let mut page_ranges = Vec::with_capacity(nranges);
         for _ in 0..nranges {
             page_ranges.push((d.u32()?, d.u32()?));
         }
-        let ndescs = d.u32()?;
-        let mut descriptors = Vec::with_capacity(ndescs as usize);
+        let ndescs = d.count(2)?;
+        let mut descriptors = Vec::with_capacity(ndescs);
         for _ in 0..ndescs {
             descriptors.push(d.u16()?);
         }
@@ -1625,8 +1625,8 @@ fn get_segment(d: &mut Dec) -> Result<ExtSegment, RestoreError> {
     let ktarget_off = d.u32()?;
     let ext_esp = d.u32()?;
     let load_next = d.u32()?;
-    let nproofs = d.u32()?;
-    let mut proofs = Vec::with_capacity(nproofs as usize);
+    let nproofs = d.count(8)?;
+    let mut proofs = Vec::with_capacity(nproofs);
     for _ in 0..nproofs {
         let at = d.u32()?;
         proofs.push((at, ckpt::get_proof_map(d)?));

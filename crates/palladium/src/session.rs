@@ -31,7 +31,7 @@
 use asm86::Object;
 use minikernel::Kernel;
 use verifier::Attestation;
-use x86sim::image::{kind, Enc, ImageBuilder, ImageView, RestoreError};
+use x86sim::image::{base, kind, Enc, ImageBuilder, ImageView, RestoreError};
 
 use crate::backend::BackendKind;
 use crate::error::Error;
@@ -191,8 +191,8 @@ impl Session {
         (self.k, self.app)
     }
 
-    /// Serializes the whole session — the kernel image (which embeds the
-    /// machine image) plus the application's extension tables — into a
+    /// Serializes the whole session — the kernel's and machine's
+    /// sections plus the application's extension tables — into one
     /// standalone, integrity-checked byte image.
     ///
     /// Derived caches (predecode, translation memos) are deliberately
@@ -200,15 +200,13 @@ impl Session {
     /// and fault-identical going forward regardless.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut b = ImageBuilder::new(kind::SESSION);
-        let mut sec = Enc::new();
-        sec.blob(&self.k.save_image());
-        b.section(1, sec);
+        self.k.save_sections(&mut b);
         let mut sec = Enc::new();
         self.app.save_into(&mut sec);
-        b.section(2, sec);
+        b.section(base::APP + 1, sec);
         let mut sec = Enc::new();
         sec.u8(self.backend.code());
-        b.section(3, sec);
+        b.section(base::SESSION + 1, sec);
         b.finish()
     }
 
@@ -220,13 +218,11 @@ impl Session {
     /// silently restored.
     pub fn restore(bytes: &[u8]) -> Result<Session, RestoreError> {
         let view = ImageView::parse(bytes, kind::SESSION)?;
-        let mut d = view.require(1, "session.kernel")?;
-        let mut k = Kernel::restore_image(d.blob()?)?;
-        d.finish()?;
-        let mut d = view.require(2, "session.app")?;
+        let mut k = Kernel::restore_sections(&view)?;
+        let mut d = view.require(base::APP + 1, "session.app")?;
         let app = ExtensibleApp::restore_from(&mut d)?;
         d.finish()?;
-        let mut d = view.require(3, "session.backend")?;
+        let mut d = view.require(base::SESSION + 1, "session.backend")?;
         let code = d.u8()?;
         let backend = BackendKind::from_code(code).ok_or_else(|| d.fail("unknown backend code"))?;
         d.finish()?;

@@ -772,14 +772,14 @@ impl Supervisor {
         let pages_reclaimed = d.u64()?;
         let requests_dropped = d.u64()?;
         let rollovers = d.u64()?;
-        let nexts = d.u32()?;
-        let mut exts = Vec::with_capacity(nexts as usize);
+        let nexts = d.count(16)?;
+        let mut exts = Vec::with_capacity(nexts);
         for _ in 0..nexts {
             let seg = ExtSegmentId::from_index(d.u32()? as usize);
             let pages = d.u32()?;
             let config = get_segment_config(d)?;
-            let nimages = d.u32()?;
-            let mut images = Vec::with_capacity(nimages as usize);
+            let nimages = d.count(24)?;
+            let mut images = Vec::with_capacity(nimages);
             for _ in 0..nimages {
                 let name = d.str()?;
                 let obj = ckpt::get_object(d)?;

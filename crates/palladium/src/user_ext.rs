@@ -1142,20 +1142,20 @@ impl ExtensibleApp {
         };
         let tramp_next = d.u32()?;
         let tramp_end = d.u32()?;
-        let nexts = d.u32()?;
-        let mut exts = Vec::with_capacity(nexts as usize);
+        let nexts = d.count(40)?;
+        let mut exts = Vec::with_capacity(nexts);
         for _ in 0..nexts {
             exts.push(get_ext(d)?);
         }
-        let nlibs = d.u32()?;
-        let mut libs = Vec::with_capacity(nlibs as usize);
+        let nlibs = d.count(12)?;
+        let mut libs = Vec::with_capacity(nlibs);
         for _ in 0..nlibs {
             let symbols = ckpt::get_str_u32_map(d)?;
             let range = (d.u32()?, d.u32()?);
             libs.push(LoadedLib { symbols, range });
         }
-        let ngates = d.u32()?;
-        let mut service_gates = Vec::with_capacity(ngates as usize);
+        let ngates = d.count(2)?;
+        let mut service_gates = Vec::with_capacity(ngates);
         for _ in 0..ngates {
             service_gates.push(d.u16()?);
         }

@@ -7,27 +7,37 @@
 //! for detection, not compactness:
 //!
 //! ```text
-//! magic[4] version:u32 kind:u32 meta_len:u32 meta[..] nsec:u32
+//! magic[4] version:u32(=2) kind:u32 nsec:u32
 //!   ( id:u32 len:u32 payload[len] crc32(payload) )*   // ids strictly ascending
 //! crc32(everything above)
 //! ```
 //!
+//! An image is flat: every layer appends its own sections, from its own
+//! id range ([`base`]), to the one [`ImageBuilder`] the outermost layer
+//! owns, and reads them back from the one verified [`ImageView`]. A
+//! replica image holds the machine's sections (`0x1xx`), then the
+//! kernel's (`0x2xx`), the application's (`0x3xx`) and its own
+//! (`0x5xx`); inner layers write first, so ids ascend.
+//!
 //! * the **magic/version/kind** header rejects foreign bytes and version
 //!   skew with typed errors before anything is interpreted;
+//! * a trailing **whole-image CRC32** covers every preceding byte and is
+//!   verified *before* the section count or any length is trusted —
+//!   torn writes and header tampering fail even when each section
+//!   happens to look self-consistent;
 //! * every section carries a **CRC32 over its payload** — a bit flip
 //!   anywhere in a payload is caught section-locally;
 //! * section ids must be **strictly ascending** — transposed or replayed
 //!   sections are a structural error, not a silent reorder;
-//! * a trailing **whole-image CRC32** covers every preceding byte —
-//!   torn writes and header tampering fail even when each section
-//!   happens to look self-consistent;
 //! * all lengths are bounds-checked while walking, so truncation is a
 //!   typed error, never a panic or an out-of-bounds read.
 //!
 //! Decoding of section payloads goes through [`Dec`], which bounds-checks
-//! every read and rejects trailing bytes, so a malformed payload that
-//! passed its CRC (i.e. a buggy or malicious *writer*) still yields a
-//! typed [`RestoreError`], never a partially-initialized world.
+//! every read, bounds every decoded element count by the bytes left
+//! ([`Dec::count`]) and rejects trailing bytes, so a malformed payload
+//! that passed its CRC (i.e. a buggy or malicious *writer*) still yields
+//! a typed [`RestoreError`], never a partially-initialized world or an
+//! unbounded allocation.
 //!
 //! What is deliberately **not** in an image: predecode caches, page
 //! translation memos, execution traces, and per-frame store/code
@@ -48,7 +58,10 @@ pub const MAGIC: [u8; 4] = *b"PDIM";
 
 /// Current format version. Bumped on any incompatible layout change; a
 /// mismatch is a typed [`RestoreError::Version`], never a guess.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
+
+/// Header bytes: magic, version, kind, section count.
+const HEADER_LEN: usize = 16;
 
 /// Image kinds: which layer's state an image carries. Restoring an image
 /// of the wrong kind is rejected ([`RestoreError::Kind`]) — a kernel
@@ -64,11 +77,28 @@ pub mod kind {
     pub const REPLICA: u32 = 4;
 }
 
+/// Section-id bases: each layer numbers its sections from its own base,
+/// so the layers of one flat image never collide and, since an inner
+/// layer always writes before the layer that wraps it, ids ascend.
+pub mod base {
+    /// [`crate::Machine`] architectural state.
+    pub const MACHINE: u32 = 0x100;
+    /// The hosting kernel's tables.
+    pub const KERNEL: u32 = 0x200;
+    /// The Palladium extensible application.
+    pub const APP: u32 = 0x300;
+    /// A Palladium session's own state.
+    pub const SESSION: u32 = 0x400;
+    /// A fleet replica's own state.
+    pub const REPLICA: u32 = 0x500;
+}
+
 /// Why an image was rejected. Every corruption class maps to a variant:
-/// bit flips to `SectionCrc`/`ImageCrc`, truncation to `Truncated`, torn
-/// writes to `ImageCrc`/`SectionOrder`, transposed sections to
-/// `SectionOrder`, version skew to `Version`, and writer bugs to
-/// `Malformed`/`MissingSection`/`TrailingBytes`.
+/// bit flips, truncation, torn writes and transposed blocks past the
+/// header to `ImageCrc` (or `Truncated`), version skew to `Version`, and
+/// writers that stamp a valid trailer over bad content to
+/// `SectionCrc`/`SectionOrder`/`Truncated`/`Malformed`/`MissingSection`/
+/// `TrailingBytes`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
     /// The bytes do not begin with the image magic.
@@ -342,6 +372,20 @@ impl<'a> Dec<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| self.fail("non-UTF-8 string"))
     }
 
+    /// Reads a u32 element count, rejecting it as
+    /// [`RestoreError::Truncated`] when `n` elements of at least
+    /// `min_elem_bytes` each cannot fit in the bytes left. Sizing an
+    /// allocation by the result is then bounded by the payload.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, RestoreError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem_bytes) > self.remaining() {
+            return Err(RestoreError::Truncated {
+                section: self.section,
+            });
+        }
+        Ok(n)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -359,12 +403,11 @@ impl<'a> Dec<'a> {
 }
 
 /// Builds an image: header, CRC-stamped sections in ascending-id order,
-/// trailing whole-image CRC.
+/// trailing whole-image CRC. Sections are written straight into the
+/// output buffer; layers share one builder (see [`base`]).
 #[derive(Debug)]
 pub struct ImageBuilder {
-    kind: u32,
-    meta: Vec<u8>,
-    body: Vec<u8>,
+    out: Vec<u8>,
     nsec: u32,
     last_id: Option<u32>,
 }
@@ -372,19 +415,16 @@ pub struct ImageBuilder {
 impl ImageBuilder {
     /// Starts an image of the given [`kind`].
     pub fn new(kind: u32) -> ImageBuilder {
+        let mut out = Vec::with_capacity(HEADER_LEN);
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&kind.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes()); // nsec, patched by finish()
         ImageBuilder {
-            kind,
-            meta: Vec::new(),
-            body: Vec::new(),
+            out,
             nsec: 0,
             last_id: None,
         }
-    }
-
-    /// Attaches opaque metadata (seed/config provenance), covered by the
-    /// whole-image CRC and readable via [`ImageView::meta`].
-    pub fn meta(&mut self, meta: &[u8]) {
-        self.meta = meta.to_vec();
     }
 
     /// Appends a section. Ids must be strictly ascending.
@@ -400,37 +440,33 @@ impl ImageBuilder {
         );
         self.last_id = Some(id);
         let payload = payload.into_vec();
-        self.body.extend_from_slice(&id.to_le_bytes());
-        self.body
+        self.out.reserve(12 + payload.len());
+        self.out.extend_from_slice(&id.to_le_bytes());
+        self.out
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.body.extend_from_slice(&payload);
-        self.body.extend_from_slice(&crc32(&payload).to_le_bytes());
+        self.out.extend_from_slice(&payload);
+        self.out.extend_from_slice(&crc32(&payload).to_le_bytes());
         self.nsec += 1;
     }
 
     /// Finalizes the image, stamping the trailing whole-image CRC.
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + self.meta.len() + self.body.len() + 4);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.kind.to_le_bytes());
-        out.extend_from_slice(&(self.meta.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.meta);
-        out.extend_from_slice(&self.nsec.to_le_bytes());
-        out.extend_from_slice(&self.body);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+    pub fn finish(mut self) -> Vec<u8> {
+        self.out[12..HEADER_LEN].copy_from_slice(&self.nsec.to_le_bytes());
+        let crc = crc32(&self.out);
+        self.out.extend_from_slice(&crc.to_le_bytes());
+        // Images outlive the save (checkpoint lineages): drop the slack
+        // the buffer grew by.
+        self.out.shrink_to_fit();
+        self.out
     }
 }
 
 /// A parsed, integrity-verified view of an image. Construction *is* the
-/// verification: magic, version, kind, structural bounds, section order,
-/// every section CRC and the whole-image CRC are all checked before any
-/// payload byte is handed out.
+/// verification: magic, version, kind, the whole-image CRC, structural
+/// bounds, section order and every section CRC are all checked before
+/// any payload byte is handed out.
 #[derive(Debug)]
 pub struct ImageView<'a> {
-    meta: &'a [u8],
     sections: Vec<(u32, &'a [u8])>,
 }
 
@@ -460,17 +496,21 @@ impl<'a> ImageView<'a> {
                 expected: expected_kind,
             });
         }
-        let meta = d.blob()?;
-        let nsec = d.u32()?;
 
-        // The count is unverified until the trailer CRC: bound the
-        // allocation by what the bytes can hold (each table entry is at
-        // least an id, a length and a CRC, 12 bytes).
-        let mut sections = Vec::with_capacity((nsec as usize).min(d.remaining() / 12));
-        let mut d = Dec {
-            section: "section table",
-            ..d
-        };
+        // The trailer covers every preceding byte (torn writes, header
+        // tampering); check it before trusting the count or any length.
+        if bytes.len() < HEADER_LEN + 4 {
+            return Err(RestoreError::Truncated { section: "trailer" });
+        }
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        if crc32(body).to_le_bytes() != *trailer {
+            return Err(RestoreError::ImageCrc);
+        }
+
+        // Each table entry is at least an id, a length and a CRC.
+        let mut d = Dec::new(&body[12..], "section table");
+        let nsec = d.count(12)?;
+        let mut sections = Vec::with_capacity(nsec);
         let mut last_id: Option<u32> = None;
         for _ in 0..nsec {
             let id = d.u32()?;
@@ -486,24 +526,13 @@ impl<'a> ImageView<'a> {
             }
             sections.push((id, payload));
         }
-
-        // Exactly the 4-byte trailer must remain; it covers every
-        // preceding byte (torn writes and header tampering).
-        if d.remaining() < 4 {
-            return Err(RestoreError::Truncated { section: "trailer" });
-        }
-        let stored = d.u32()?;
-        d.finish()
-            .map_err(|_| RestoreError::TrailingBytes { section: "trailer" })?;
-        if crc32(&bytes[..bytes.len() - 4]) != stored {
-            return Err(RestoreError::ImageCrc);
-        }
-        Ok(ImageView { meta, sections })
+        d.finish()?;
+        Ok(ImageView { sections })
     }
 
-    /// The opaque metadata the writer attached.
-    pub fn meta(&self) -> &'a [u8] {
-        self.meta
+    /// Every section as `(id, payload)`, in ascending id order.
+    pub fn sections(&self) -> &[(u32, &'a [u8])] {
+        &self.sections
     }
 
     /// Borrows a section's payload, if present.
@@ -806,7 +835,6 @@ mod tests {
 
     fn sample_image() -> Vec<u8> {
         let mut b = ImageBuilder::new(kind::MACHINE);
-        b.meta(b"seed=1");
         let mut e = Enc::new();
         e.u32(0xDEAD_BEEF);
         e.str("hello");
@@ -821,7 +849,6 @@ mod tests {
     fn image_roundtrip() {
         let img = sample_image();
         let v = ImageView::parse(&img, kind::MACHINE).unwrap();
-        assert_eq!(v.meta(), b"seed=1");
         let mut d = v.require(1, "one").unwrap();
         assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.str().unwrap(), "hello");
@@ -871,20 +898,23 @@ mod tests {
                 expected: kind::KERNEL
             }
         );
-        // A genuine future-version image (correct trailer CRC) is
-        // rejected on the version field, not the CRC.
-        let mut skewed = img.clone();
-        skewed[4..8].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        let n = skewed.len();
-        let crc = crc32(&skewed[..n - 4]);
-        skewed[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            ImageView::parse(&skewed, kind::MACHINE).unwrap_err(),
-            RestoreError::Version {
-                found: VERSION + 1,
-                supported: VERSION
-            }
-        );
+        // A genuine future- or past-version image (correct trailer CRC)
+        // is rejected on the version field, not the CRC; there is no v1
+        // reader.
+        for found in [VERSION + 1, 1] {
+            let mut skewed = img.clone();
+            skewed[4..8].copy_from_slice(&found.to_le_bytes());
+            let n = skewed.len();
+            let crc = crc32(&skewed[..n - 4]);
+            skewed[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                ImageView::parse(&skewed, kind::MACHINE).unwrap_err(),
+                RestoreError::Version {
+                    found,
+                    supported: VERSION
+                }
+            );
+        }
         assert_eq!(
             ImageView::parse(b"nope", kind::MACHINE).unwrap_err(),
             RestoreError::BadMagic
@@ -904,8 +934,6 @@ mod tests {
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&kind::MACHINE.to_le_bytes());
-        out.extend_from_slice(&6u32.to_le_bytes());
-        out.extend_from_slice(b"seed=1");
         out.extend_from_slice(&2u32.to_le_bytes());
         for (id, payload) in [(7u32, &s7), (1u32, &s1)] {
             out.extend_from_slice(&id.to_le_bytes());
@@ -918,6 +946,27 @@ mod tests {
         assert_eq!(
             ImageView::parse(&out, kind::MACHINE).unwrap_err(),
             RestoreError::SectionOrder { id: 1 }
+        );
+    }
+
+    #[test]
+    fn image_crc_is_checked_before_the_section_count() {
+        let img = sample_image();
+        let mut hostile = img.clone();
+        hostile[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            ImageView::parse(&hostile, kind::MACHINE).unwrap_err(),
+            RestoreError::ImageCrc
+        );
+        // With the trailer recomputed the count is reached, and bounded.
+        let n = hostile.len();
+        let crc = crc32(&hostile[..n - 4]);
+        hostile[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            ImageView::parse(&hostile, kind::MACHINE).unwrap_err(),
+            RestoreError::Truncated {
+                section: "section table"
+            }
         );
     }
 
@@ -951,6 +1000,21 @@ mod tests {
         // Bad bool bytes are malformed, not coerced.
         let mut d = Dec::new(&[2u8], "t");
         assert!(matches!(d.bool(), Err(RestoreError::Malformed { .. })));
+
+        // A count is bounded by the bytes left, before anything is sized
+        // by it.
+        let mut e = Enc::new();
+        e.u32(2);
+        e.u32(10);
+        e.u32(20);
+        let payload = e.into_vec();
+        assert_eq!(Dec::new(&payload, "t").count(4).unwrap(), 2);
+        assert!(matches!(
+            Dec::new(&payload, "t").count(5),
+            Err(RestoreError::Truncated { section: "t" })
+        ));
+        let huge = u32::MAX.to_le_bytes();
+        assert!(Dec::new(&huge, "t").count(1).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use asm86::{decode, DecodeError};
 use crate::cycles::{self, Event};
 use crate::desc::{resolve, Descriptor, DescriptorTable, Selector};
 use crate::fault::{Fault, FaultBuilder, FaultCause};
-use crate::image::{self, kind, Enc, ImageBuilder, ImageView, RestoreError};
+use crate::image::{self, base, kind, Enc, ImageBuilder, ImageView, RestoreError};
 use crate::mem::{PhysMem, PAGE_MASK, PAGE_SIZE};
 use crate::paging::{Access, Mmu};
 use crate::predecode::{InsnCache, PredecodeStats};
@@ -464,8 +464,16 @@ impl Machine {
 
     /// Serializes the whole world into a deterministic, integrity-checked
     /// binary image (see [`crate::image`] for the format).
+    pub fn save_image(&self) -> Vec<u8> {
+        let mut b = ImageBuilder::new(kind::MACHINE);
+        self.save_sections(&mut b);
+        b.finish()
+    }
+
+    /// Appends the world's sections (ids from [`base::MACHINE`]) to an
+    /// image that an enclosing layer may extend.
     ///
-    /// The image carries every piece of *architectural* state: CPU,
+    /// The sections carry every piece of *architectural* state: CPU,
     /// descriptor tables, IDT, TSS, the MMU with its live TLB (sorted by
     /// VPN), the cycle/instruction counters, and only the materialized
     /// physical frames (sorted by frame number). The predecode cache,
@@ -474,16 +482,14 @@ impl Machine {
     /// absence is invisible to cycle accounting and statistics (memo hits
     /// count as TLB hits). Saving the same world twice yields the same
     /// bytes.
-    pub fn save_image(&self) -> Vec<u8> {
-        let mut b = ImageBuilder::new(kind::MACHINE);
-
+    pub fn save_sections(&self, b: &mut ImageBuilder) {
         let mut e = Enc::new();
         image::put_cpu(&mut e, &self.cpu);
-        b.section(1, e);
+        b.section(base::MACHINE + 1, e);
 
         let mut e = Enc::new();
         image::put_descriptor_table(&mut e, &self.gdt);
-        b.section(2, e);
+        b.section(base::MACHINE + 2, e);
 
         let mut e = Enc::new();
         match &self.ldt {
@@ -493,7 +499,7 @@ impl Machine {
             }
             None => e.bool(false),
         }
-        b.section(3, e);
+        b.section(base::MACHINE + 3, e);
 
         let mut e = Enc::new();
         e.u32(self.idt.len() as u32);
@@ -506,40 +512,44 @@ impl Machine {
                 None => e.bool(false),
             }
         }
-        b.section(4, e);
+        b.section(base::MACHINE + 4, e);
 
         let mut e = Enc::new();
         for (sel, esp) in self.tss.stack {
             e.u16(sel.0);
             e.u32(esp);
         }
-        b.section(5, e);
+        b.section(base::MACHINE + 5, e);
 
         let mut e = Enc::new();
         self.mmu.save_into(&mut e);
-        b.section(6, e);
+        b.section(base::MACHINE + 6, e);
 
         let mut e = Enc::new();
         e.u64(self.cycles);
         e.u64(self.insns);
         e.bool(self.predecode);
-        b.section(7, e);
+        b.section(base::MACHINE + 7, e);
 
         let mut e = Enc::new();
         self.mem.save_into(&mut e);
-        b.section(8, e);
+        b.section(base::MACHINE + 8, e);
 
         let mut e = Enc::new();
         e.u32(self.key_gates.len() as u32);
         for &site in &self.key_gates {
             e.u32(site);
         }
-        b.section(9, e);
-
-        b.finish()
+        b.section(base::MACHINE + 9, e);
     }
 
     /// Rebuilds a world from an image written by [`Machine::save_image`].
+    pub fn restore_image(bytes: &[u8]) -> Result<Machine, RestoreError> {
+        Machine::restore_sections(&ImageView::parse(bytes, kind::MACHINE)?)
+    }
+
+    /// Rebuilds a world from the [`base::MACHINE`] sections of a verified
+    /// image.
     ///
     /// Restore is verify-or-reject: any corruption — a flipped bit, a
     /// truncation, a torn write, transposed sections, a version or kind
@@ -547,19 +557,18 @@ impl Machine {
     /// successful restore resumes cycle/stat/fault byte-identically to
     /// the world that was saved; the predecode cache and translation
     /// memos start cold and are rebuilt on demand.
-    pub fn restore_image(bytes: &[u8]) -> Result<Machine, RestoreError> {
-        let v = ImageView::parse(bytes, kind::MACHINE)?;
+    pub fn restore_sections(v: &ImageView<'_>) -> Result<Machine, RestoreError> {
         let mut m = Machine::new();
 
-        let mut d = v.require(1, "cpu")?;
+        let mut d = v.require(base::MACHINE + 1, "cpu")?;
         m.cpu = image::get_cpu(&mut d)?;
         d.finish()?;
 
-        let mut d = v.require(2, "gdt")?;
+        let mut d = v.require(base::MACHINE + 2, "gdt")?;
         m.gdt = image::get_descriptor_table(&mut d)?;
         d.finish()?;
 
-        let mut d = v.require(3, "ldt")?;
+        let mut d = v.require(base::MACHINE + 3, "ldt")?;
         m.ldt = if d.bool()? {
             Some(image::get_descriptor_table(&mut d)?)
         } else {
@@ -567,7 +576,7 @@ impl Machine {
         };
         d.finish()?;
 
-        let mut d = v.require(4, "idt")?;
+        let mut d = v.require(base::MACHINE + 4, "idt")?;
         let n = d.u32()? as usize;
         if n != 256 {
             return Err(d.fail(format!("IDT has {n} vectors")));
@@ -583,28 +592,28 @@ impl Machine {
         m.idt = idt;
         d.finish()?;
 
-        let mut d = v.require(5, "tss")?;
+        let mut d = v.require(base::MACHINE + 5, "tss")?;
         for slot in &mut m.tss.stack {
             *slot = (Selector(d.u16()?), d.u32()?);
         }
         d.finish()?;
 
-        let mut d = v.require(6, "mmu")?;
+        let mut d = v.require(base::MACHINE + 6, "mmu")?;
         m.mmu = Mmu::restore_from(&mut d)?;
         d.finish()?;
 
-        let mut d = v.require(7, "counters")?;
+        let mut d = v.require(base::MACHINE + 7, "counters")?;
         m.cycles = d.u64()?;
         m.insns = d.u64()?;
         m.predecode = d.bool()?;
         d.finish()?;
 
-        let mut d = v.require(8, "frames")?;
+        let mut d = v.require(base::MACHINE + 8, "frames")?;
         m.mem = PhysMem::restore_from(&mut d)?;
         d.finish()?;
 
-        let mut d = v.require(9, "key-gates")?;
-        let n = d.u32()?;
+        let mut d = v.require(base::MACHINE + 9, "key-gates")?;
+        let n = d.count(4)?;
         let mut prev: Option<u32> = None;
         for _ in 0..n {
             let site = d.u32()?;

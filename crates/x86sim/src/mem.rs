@@ -498,9 +498,9 @@ impl PhysMem {
     /// slot numbering after a restore is deterministic (slots are
     /// host-side identities; nothing architectural observes them).
     pub(crate) fn restore_from(d: &mut Dec<'_>) -> Result<PhysMem, RestoreError> {
-        let n = d.u32()?;
+        let n = d.count(4 + PAGE_SIZE as usize)?;
         let mut index: HashMap<u32, u32, U32HashBuilder> = HashMap::default();
-        let mut slabs: Vec<Frame> = Vec::with_capacity(n as usize);
+        let mut slabs: Vec<Frame> = Vec::with_capacity(n);
         let mut last: Option<u32> = None;
         for _ in 0..n {
             let page = d.u32()?;
@@ -657,8 +657,8 @@ impl FrameAlloc {
         if next & PAGE_MASK != 0 || limit & PAGE_MASK != 0 || next > limit {
             return Err(d.fail(format!("allocator bounds {next:#x}/{limit:#x}")));
         }
-        let n = d.u32()?;
-        let mut free_list = Vec::with_capacity(n as usize);
+        let n = d.count(4)?;
+        let mut free_list = Vec::with_capacity(n);
         for _ in 0..n {
             let f = d.u32()?;
             if f & PAGE_MASK != 0 || f >= next {

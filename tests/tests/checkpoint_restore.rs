@@ -21,7 +21,7 @@ use palladium::kernel_ext::{ExtSegmentId, KernelExtensions};
 use palladium::supervisor::RestartPolicy;
 use palladium::{DlopenOptions, Session};
 use seedrng::SeedRng;
-use x86sim::image::{kind, Dec, Enc, ImageView};
+use x86sim::image::{base, kind, Dec, Enc, ImageBuilder, ImageView, RestoreError};
 use x86sim::machine::Machine;
 
 // --- figure7 workload: kernel + kernel extensions ------------------------
@@ -285,6 +285,105 @@ fn replica_restore_is_byte_identical_forward() {
     }
 }
 
+/// A warmed single-replica world (one served round).
+fn warm_replica() -> Replica {
+    let mut r = Replica::new(
+        1,
+        0,
+        fleet::version_images("filter", 1),
+        RestartPolicy::default(),
+        20_000,
+        true,
+    )
+    .expect("replica");
+    r.serve_round(8);
+    r
+}
+
+/// A replica image restores to a world that re-checkpoints to the same
+/// bytes.
+#[test]
+fn replica_checkpoint_round_trips() {
+    let img = warm_replica().checkpoint();
+    let restored = Replica::restore(&img).expect("restore");
+    assert!(restored.checkpoint() == img, "restore must round-trip");
+}
+
+/// The image is flat: a replica image carries the machine's sections
+/// verbatim, exactly as a standalone machine image holds them, and
+/// every layer's sections sit in its own id range.
+#[test]
+fn replica_image_carries_the_machine_sections_verbatim() {
+    let r = warm_replica();
+    let img = r.checkpoint();
+    let machine_img = r.k.m.save_image();
+    let replica = ImageView::parse(&img, kind::REPLICA).unwrap();
+    let machine = ImageView::parse(&machine_img, kind::MACHINE).unwrap();
+    let in_range = |v: &ImageView<'_>, base: u32| -> Vec<(u32, Vec<u8>)> {
+        v.sections()
+            .iter()
+            .filter(|(id, _)| id & !0xFF == base)
+            .map(|(id, p)| (*id, p.to_vec()))
+            .collect()
+    };
+    let machine_secs = in_range(&machine, base::MACHINE);
+    assert_eq!(machine_secs.len(), machine.sections().len());
+    assert_eq!(in_range(&replica, base::MACHINE), machine_secs);
+    for b in [base::KERNEL, base::APP, base::REPLICA] {
+        assert!(!in_range(&replica, b).is_empty(), "no sections at {b:#x}");
+    }
+}
+
+/// Re-emits `img`'s sections through a fresh [`ImageBuilder`], with the
+/// u32 at byte `at` of section `id` replaced by `u32::MAX`: a hostile
+/// writer whose every CRC is valid.
+fn with_hostile_count(img: &[u8], k: u32, id: u32, at: usize) -> Vec<u8> {
+    let v = ImageView::parse(img, k).expect("pristine image");
+    assert!(v.section(id).is_some(), "section {id:#x} absent");
+    let mut b = ImageBuilder::new(k);
+    for &(sid, payload) in v.sections() {
+        let mut p = payload.to_vec();
+        if sid == id {
+            p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        let mut e = Enc::new();
+        e.bytes(&p);
+        b.section(sid, e);
+    }
+    b.finish()
+}
+
+/// Counts decoded from an image bound every allocation they size: a
+/// valid-CRC image claiming `u32::MAX` elements is a typed error, never
+/// an abort (this suite also runs under `ulimit -v` in CI).
+#[test]
+fn hostile_writer_counts_are_typed_errors() {
+    let r = warm_replica();
+    let truncated = |section| RestoreError::Truncated { section };
+
+    // The frame count leads the machine's `frames` section.
+    let frames = base::MACHINE + 8;
+    let bad = with_hostile_count(&r.k.m.save_image(), kind::MACHINE, frames, 0);
+    assert_eq!(
+        Machine::restore_image(&bad).err(),
+        Some(truncated("frames"))
+    );
+    let bad = with_hostile_count(&r.checkpoint(), kind::REPLICA, frames, 0);
+    assert_eq!(Replica::restore(&bad).err(), Some(truncated("frames")));
+
+    // The page-directory count leads the kernel's `kva` section.
+    let bad = with_hostile_count(&r.k.save_image(), kind::KERNEL, base::KERNEL + 9, 0);
+    assert_eq!(Kernel::restore_image(&bad).err(), Some(truncated("kva")));
+
+    // The violation count follows the replica's id, four u64 and three
+    // u32 counters in its `state` section.
+    let bad = with_hostile_count(&r.checkpoint(), kind::REPLICA, base::REPLICA + 4, 48);
+    assert_eq!(
+        Replica::restore(&bad).err(),
+        Some(truncated("replica.state"))
+    );
+}
+
 // --- corruption matrix: every class × every image layer ------------------
 
 /// Every corruption class applied to every image layer must be rejected
@@ -359,6 +458,24 @@ fn kind_confusion_is_rejected() {
     assert!(Session::restore(&kernel_img).is_err());
     let session_img = session.checkpoint();
     assert!(Kernel::restore_image(&session_img).is_err());
+
+    // Outer images now carry the inner layers' sections verbatim, so the
+    // kind word is the only thing that stops these.
+    let replica_img = warm_replica().checkpoint();
+    assert_eq!(
+        Kernel::restore_image(&replica_img).err(),
+        Some(RestoreError::Kind {
+            found: kind::REPLICA,
+            expected: kind::KERNEL
+        })
+    );
+    assert_eq!(
+        Machine::restore_image(&session_img).err(),
+        Some(RestoreError::Kind {
+            found: kind::SESSION,
+            expected: kind::MACHINE
+        })
+    );
 }
 
 // --- crash-recovery drills -----------------------------------------------
