@@ -1,13 +1,11 @@
 //! Host simulation throughput: guest instructions per host second on the
-//! figure7, chaos and webserver workloads, with the predecode fast path
-//! on (fast) and off (baseline), plus the kext_dispatch workload, where
-//! fast is verified dispatch (load-time attestation: no per-call
-//! entry-window re-validation, eager predecode) and baseline is
-//! unverified dispatch. The `figure7_hoist` and `kext_hoist` rows
-//! isolate proof-directed check elision: both modes are verified, fast
-//! is proof-hoisted (per-access limit/PPL checks collapsed to one guard
-//! at block entry) and baseline is verified-unhoisted. Written to
-//! `BENCH_sim_throughput.json`.
+//! figure7, chaos, webserver and kext_dispatch workloads, with the
+//! predecode fast path on (fast) and off (baseline); kext_dispatch runs
+//! an unverified kernel extension in both modes. The `figure7_hoist`
+//! and `kext_hoist` rows isolate proof-directed check elision: both
+//! modes are verified, fast is proof-hoisted (per-access limit/PPL
+//! checks collapsed to one guard at block entry) and baseline is
+//! verified-unhoisted. Written to `BENCH_sim_throughput.json`.
 //!
 //! A second section measures worker scaling: the same workloads sharded
 //! across a `parex` pool at 1/2/4/8 workers (override with
@@ -156,6 +154,7 @@ fn to_json(sections: &Sections<'_>, quick: bool) -> String {
     }
     s.push_str("  ],\n");
     s.push_str("  \"scaling\": [\n");
+    let host_cpus = parex::host_parallelism();
     for (i, p) in scaling.iter().enumerate() {
         // Speedup vs this workload's own 1-worker row.
         let serial = scaling
@@ -166,6 +165,12 @@ fn to_json(sections: &Sections<'_>, quick: bool) -> String {
         s.push_str("    {\n");
         s.push_str(&format!("      \"workload\": \"{}\",\n", p.workload));
         s.push_str(&format!("      \"workers\": {},\n", p.workers));
+        // More workers than host CPUs: the row measures time-slicing,
+        // not parallel speedup.
+        s.push_str(&format!(
+            "      \"oversubscribed\": {},\n",
+            p.workers > host_cpus
+        ));
         s.push_str(&format!("      \"shards\": {},\n", p.shards));
         s.push_str(&format!("      \"guest_insns\": {},\n", p.guest_insns));
         s.push_str(&format!("      \"boot_cycles\": {},\n", p.boot_cycles));

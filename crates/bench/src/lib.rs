@@ -653,20 +653,13 @@ fn throughput_webserver(iters: u32, predecode: bool) -> (u64, f64) {
 }
 
 /// Kernel-extension dispatch workload: repeated `invoke` of a benign
-/// 60-odd-instruction extension. The `fast` mode loads it into a segment
-/// with [`SegmentConfig::verify`] on, so dispatch rides the `Verified`
-/// attestation (no per-call entry-window re-validation, eager
-/// predecode); the `base` mode loads it unverified and pays the advisory
-/// per-call check with predecode off. Simulated results are identical —
-/// the attestation only licenses skipping host-side work.
-fn throughput_kext_dispatch(iters: u32, verified: bool) -> (u64, f64) {
+/// 60-odd-instruction extension in an unverified segment. Like the
+/// figure7/chaos/webserver rows it compares predecode on (`fast`) with
+/// predecode off (`base`); no attestation is involved in either mode.
+fn throughput_kext_dispatch(iters: u32, predecode: bool) -> (u64, f64) {
     let mut k = Kernel::boot();
     let mut kx = KernelExtensions::new(&mut k).expect("kext init");
-    let config = SegmentConfig {
-        verify: verified,
-        ..kx.default_config()
-    };
-    let seg = kx.create_segment_with(&mut k, 16, config).expect("segment");
+    let seg = kx.create_segment(&mut k, 16).expect("segment");
     let mut src = String::from("work:\nmov eax, [esp+4]\n");
     for _ in 0..64 {
         src.push_str("add eax, 1\n");
@@ -675,7 +668,7 @@ fn throughput_kext_dispatch(iters: u32, verified: bool) -> (u64, f64) {
     let obj = Assembler::assemble(&src).expect("assemble");
     kx.insmod(&mut k, seg, "work", &obj, &["work"])
         .expect("insmod");
-    k.m.set_predecode(verified);
+    k.m.set_predecode(predecode);
     kx.invoke(&mut k, seg, "work", 1).expect("warm");
     let insns0 = k.m.insns();
     let t = std::time::Instant::now();
@@ -1000,7 +993,9 @@ fn scaling_chaos(steps: u32, jobs: usize) -> (u64, u64, f64) {
 
 /// Web-server workload sharded: [`webserver::run_live_sharded`] request
 /// groups, each on a replica server.
-fn scaling_webserver(shards: u32, requests: u32, pool: parex::Pool) -> (u64, u64, f64) {
+/// Returns `(guest_insns, shard_cycles, boot_cycles, host_secs)`; the
+/// shard cycles are the simulated cycles spent serving, for tests.
+fn scaling_webserver(shards: u32, requests: u32, pool: parex::Pool) -> (u64, u64, u64, f64) {
     // Cold-path bugfix: each request group used to cold-boot its server
     // inside the timed window. Boot and warm one template outside the
     // timer; `make` hands each group a copy-on-write fork of it.
@@ -1032,11 +1027,10 @@ fn scaling_webserver(shards: u32, requests: u32, pool: parex::Pool) -> (u64, u64
         pool,
     )
     .expect("sharded live run");
-    let insns: u64 = stats.iter().map(|s| s.cycles).sum();
-    // `cycles` is the simulated-cycle counter; the guest work metric for
-    // scaling only needs to be worker-count invariant and proportional
-    // to the simulated work, which cycles are.
-    (insns, boot_cycles, t.elapsed().as_secs_f64())
+    let secs = t.elapsed().as_secs_f64();
+    let insns = stats.iter().map(|s| s.insns).sum();
+    let cycles = stats.iter().map(|s| s.cycles).sum();
+    (insns, cycles, boot_cycles, secs)
 }
 
 /// Measures the sharded workloads at each worker count in `workers`,
@@ -1070,7 +1064,7 @@ pub fn measure_scaling_with(
             boot_cycles: boot,
             host_secs: secs,
         });
-        let (insns, boot, secs) = scaling_webserver(shards, webserver_reqs, pool);
+        let (insns, _, boot, secs) = scaling_webserver(shards, webserver_reqs, pool);
         points.push(ScalingPoint {
             workload: "webserver",
             workers: w,
@@ -1422,6 +1416,16 @@ mod tests {
                 assert!(rows[0].boot_cycles > 0, "{w}: boot cost unreported");
             }
         }
+        // The webserver rows count guest instructions, not simulated
+        // cycles: every instruction costs at least one cycle, and the
+        // serving path adds syscall and trampoline charges on top.
+        let (insns, cycles, _, _) = scaling_webserver(4, 16, parex::Pool::new(1));
+        let row = pts.iter().find(|p| p.workload == "webserver").unwrap();
+        assert_eq!(row.guest_insns, insns);
+        assert!(
+            insns < cycles,
+            "webserver: {insns} insns vs {cycles} cycles"
+        );
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //! each of the ways real storage fails — bit rot, truncation, torn
 //! writes, block transposition, stale format versions — so the oracle
 //! can assert every one is rejected with a typed error.
+//! [`hostile_writer_image`] goes for the restore gate itself: valid
+//! CRCs around an absurd value, the bytes a buggy or malicious writer
+//! would produce.
 
 use asm86::{CodeBuilder, Object, Reloc, RelocKind};
 use seedrng::SeedRng;
+use x86sim::image::{Enc, ImageBuilder, ImageView};
 
 use crate::gen;
 
@@ -239,4 +243,58 @@ pub fn corrupt_image(image: &[u8], kind: ImageCorruption, r: &mut SeedRng) -> Ve
 pub fn corrupted_image(image: &[u8], r: &mut SeedRng) -> (ImageCorruption, Vec<u8>) {
     let kind = *r.choose(&ImageCorruption::ALL);
     (kind, corrupt_image(image, kind, r))
+}
+
+/// Re-emits `image` (of image kind `kind`) through a fresh
+/// [`ImageBuilder`] with the u32 at byte `at` of section `id` replaced by
+/// `u32::MAX`: a hostile writer whose every CRC is valid, so only the
+/// payload decoders stand between the value and the restored world.
+///
+/// # Panics
+///
+/// If `image` does not parse as `kind`, lacks section `id`, or the
+/// section is shorter than `at + 4` bytes — the input must be a pristine
+/// image this generator damages, not already-untrusted bytes.
+pub fn with_hostile_count(image: &[u8], kind: u32, id: u32, at: usize) -> Vec<u8> {
+    let v = ImageView::parse(image, kind).expect("pristine image");
+    assert!(v.section(id).is_some(), "section {id:#x} absent");
+    let mut b = ImageBuilder::new(kind);
+    for &(sid, payload) in v.sections() {
+        let mut p = payload.to_vec();
+        if sid == id {
+            p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        let mut e = Enc::new();
+        e.bytes(&p);
+        b.section(sid, e);
+    }
+    b.finish()
+}
+
+/// A seeded hostile-writer image: one section of `image` and one
+/// 4-byte-aligned offset in its payload, chosen by `r`, rewritten to
+/// `u32::MAX` by [`with_hostile_count`]. Returns the section id, the
+/// offset and the image.
+///
+/// Deliberately not an [`ImageCorruption`] class: every CRC is valid
+/// and the value may be legal where it lands (a counter, a register), so
+/// such an image may restore. The contract is weaker than
+/// [`ImageCorruption::ALL`]'s rejection: restore returns `Ok` or a typed
+/// error, never a panic or an unbounded allocation.
+///
+/// # Panics
+///
+/// If `image` does not parse as `kind` or has no section of 4 or more
+/// bytes.
+pub fn hostile_writer_image(image: &[u8], kind: u32, r: &mut SeedRng) -> (u32, usize, Vec<u8>) {
+    let v = ImageView::parse(image, kind).expect("pristine image");
+    let sections: Vec<(u32, usize)> = v
+        .sections()
+        .iter()
+        .filter(|(_, p)| p.len() >= 4)
+        .map(|&(id, p)| (id, p.len()))
+        .collect();
+    let &(id, len) = r.choose(&sections);
+    let at = 4 * r.gen_range(0, (len / 4) as u32) as usize;
+    (id, at, with_hostile_count(image, kind, id, at))
 }

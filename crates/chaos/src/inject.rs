@@ -72,7 +72,7 @@ pub fn drop_tlb_entries(k: &mut Kernel, r: &mut SeedRng) -> usize {
 /// extension computes or make it fault (e.g. `0xFF` is an invalid
 /// opcode → #UD) — it grants no access the protection checks would deny.
 /// It also exercises the predecode-cache invariant: the host write goes
-/// through `PhysMem` and bumps the frame's store generation, so a stale
+/// through `PhysMem` and bumps the frame's code generation, so a stale
 /// cached decode of the corrupted instruction can never be served.
 pub fn corrupt_code_byte(k: &mut Kernel, linear: u32, byte: u8) -> Option<u8> {
     let prev = k.m.host_read(linear, 1)[0];

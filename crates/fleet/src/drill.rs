@@ -54,8 +54,6 @@ pub struct DrillConfig {
     pub policy: RestartPolicy,
     /// CPU-time limit per extension invocation.
     pub cycle_limit: u64,
-    /// Simulator predecode fast path (host-performance knob only).
-    pub predecode: bool,
     /// Worker threads to fan replicas across (any value is
     /// byte-identical).
     pub jobs: usize,
@@ -82,7 +80,6 @@ impl Default for DrillConfig {
             max_walkback: 3,
             policy: RestartPolicy::default(),
             cycle_limit: 20_000,
-            predecode: true,
             jobs: 1,
             fork_boot: true,
             persist_dir: None,
@@ -181,7 +178,7 @@ pub fn run(cfg: &DrillConfig, images: &[ModuleImage]) -> DrillReport {
             images.to_vec(),
             cfg.policy,
             cfg.cycle_limit,
-            cfg.predecode,
+            true,
         )
     };
     let template = if cfg.fork_boot { boot(0).ok() } else { None };

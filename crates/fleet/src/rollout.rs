@@ -37,8 +37,6 @@ pub struct RolloutConfig {
     pub policy: RestartPolicy,
     /// CPU-time limit per extension invocation.
     pub cycle_limit: u64,
-    /// Simulator predecode fast path (host-performance knob only).
-    pub predecode: bool,
     /// Worker threads to fan replicas across (any value is
     /// byte-identical).
     pub jobs: usize,
@@ -62,7 +60,6 @@ impl Default for RolloutConfig {
             slo: SloPolicy::default(),
             policy: RestartPolicy::default(),
             cycle_limit: 20_000,
-            predecode: true,
             jobs: 1,
             fork_boot: true,
         }
@@ -168,29 +165,14 @@ pub fn run(cfg: &RolloutConfig, old: &[ModuleImage], new: &[ModuleImage]) -> Rol
     // (microsecond copy-on-write boot) or cold-boot each one. Boot is
     // index-independent, so both paths yield byte-identical fleets.
     let template = if cfg.fork_boot {
-        Replica::new(
-            cfg.seed,
-            0,
-            old.to_vec(),
-            cfg.policy,
-            cfg.cycle_limit,
-            cfg.predecode,
-        )
-        .ok()
+        Replica::new(cfg.seed, 0, old.to_vec(), cfg.policy, cfg.cycle_limit, true).ok()
     } else {
         None
     };
     let mut reps: Vec<Replica> = pool
         .run_ordered((0..n).collect(), |_, i| match &template {
             Some(t) => Ok(t.fork_as(cfg.seed, i)),
-            None => Replica::new(
-                cfg.seed,
-                i,
-                old.to_vec(),
-                cfg.policy,
-                cfg.cycle_limit,
-                cfg.predecode,
-            ),
+            None => Replica::new(cfg.seed, i, old.to_vec(), cfg.policy, cfg.cycle_limit, true),
         })
         .into_iter()
         .collect::<Result<_, _>>()

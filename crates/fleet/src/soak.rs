@@ -33,8 +33,6 @@ pub struct SoakConfig {
     pub work_per_request: u32,
     /// CPU-time limit per extension invocation.
     pub cycle_limit: u64,
-    /// Simulator predecode fast path.
-    pub predecode: bool,
     /// Worker threads (any value is byte-identical).
     pub jobs: usize,
     /// Boot the fleet by forking one template replica (copy-on-write)
@@ -53,7 +51,6 @@ impl Default for SoakConfig {
             requests_per_round: 30,
             work_per_request: 320,
             cycle_limit: 20_000,
-            predecode: true,
             jobs: 1,
             fork_boot: true,
         }
@@ -128,7 +125,7 @@ pub fn run(cfg: &SoakConfig) -> SoakReport {
             images_for(100),
             RestartPolicy::default(),
             cfg.cycle_limit,
-            cfg.predecode,
+            true,
         )
         .ok()
     } else {
@@ -143,7 +140,7 @@ pub fn run(cfg: &SoakConfig) -> SoakReport {
                 images_for(100),
                 RestartPolicy::default(),
                 cfg.cycle_limit,
-                cfg.predecode,
+                true,
             ),
         })
         .into_iter()

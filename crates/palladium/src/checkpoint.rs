@@ -154,6 +154,17 @@ pub(crate) fn get_proof_map(d: &mut Dec) -> Result<ProofMap, RestoreError> {
     Ok(m)
 }
 
+/// Rejects `proofs` if a block, loaded at linear address `load`, would
+/// end past the top of the address space: reinstalling proof tokens
+/// after a restore adds the block offsets to the load address unchecked.
+pub(crate) fn check_proofs_fit(d: &Dec, load: u64, proofs: &ProofMap) -> Result<(), RestoreError> {
+    let end = |p: &BlockProof| load + u64::from(p.start) + u64::from(p.len);
+    if proofs.blocks.values().any(|p| end(p) > u64::from(u32::MAX)) {
+        return Err(d.fail("proof block ends past the address space"));
+    }
+    Ok(())
+}
+
 pub(crate) fn put_attestation(e: &mut Enc, a: &Attestation) {
     for v in [
         a.entries,

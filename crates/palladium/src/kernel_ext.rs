@@ -156,9 +156,8 @@ pub struct SegmentConfig {
     /// deliberately hostile modules with this off).
     pub verify: bool,
     /// The `Verified` attestation of the most recently admitted module,
-    /// set by `insmod` when [`verify`](Self::verify) is on. Its presence
-    /// licenses the verified-dispatch fast path: `invoke` skips the
-    /// per-call entry-window re-validation and enables eager predecode.
+    /// set by `insmod` when [`verify`](Self::verify) is on. Its block
+    /// proofs become simulator proof tokens; dispatch is unchanged.
     pub verified: Option<verifier::Attestation>,
 }
 
@@ -301,22 +300,14 @@ pub struct ExtSegment {
     load_next: u32,
 }
 
-/// Accounting for the verified-dispatch fast path: how many invocations
-/// were licensed by a load-time attestation versus re-validated per call.
+/// Invocations split by whether the target segment holds a load-time
+/// attestation. Both kinds dispatch identically; the split is accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchStats {
-    /// Invocations into a segment holding a `Verified` attestation; the
-    /// per-call entry-window check is skipped and predecode is enabled
-    /// eagerly for the run.
+    /// Invocations into a segment holding a `Verified` attestation.
     pub verified: u64,
-    /// Invocations into unverified segments that paid the advisory
-    /// host-side entry-window re-validation.
+    /// Invocations into a segment without one (unverified code).
     pub entry_checks: u64,
-    /// Entry windows the advisory check could not validate (undecodable
-    /// bytes at the registered entry point). Dispatch still proceeds —
-    /// hardware containment is the backstop — but the counter surfaces
-    /// the anomaly to supervision and diagnostics.
-    pub entry_check_failures: u64,
 }
 
 /// The kernel-side manager for all extension segments.
@@ -346,7 +337,7 @@ pub struct KernelExtensions {
     pub quarantines: u64,
     /// Segments reclaimed (pages and descriptors returned) so far.
     pub reclaims: u64,
-    /// Verified- vs. unverified-dispatch accounting.
+    /// Calls into attested vs. unattested segments.
     pub dispatch: DispatchStats,
 }
 
@@ -733,7 +724,7 @@ impl KernelExtensions {
         func: &str,
         arg: u32,
     ) -> Result<u32, KextError> {
-        let (kprepare, target_linear, entry_off, entry_linear, verified) = {
+        let (kprepare, target_linear, entry_off, verified) = {
             let seg = &self.segments[id.0];
             if seg.quarantined {
                 return Err(KextError::Quarantined {
@@ -752,25 +743,16 @@ impl KernelExtensions {
                 seg.kprepare,
                 seg.base + seg.ktarget_off,
                 entry,
-                seg.base + entry,
                 seg.config.verified.is_some(),
             )
         };
 
-        // Attestation-gated dispatch (the verified fast path): a segment
-        // whose modules passed load-time verification skips the per-call
-        // entry-window re-validation. Unverified segments pay an advisory
-        // host-side decode of the entry window; a failure is counted but
-        // never blocks dispatch — the hardware checks remain the
-        // containment backstop either way, so campaign traces stay
-        // byte-identical.
+        // The attestation is admission evidence only: hardware checks
+        // contain the call either way, so dispatch just counts it.
         if verified {
             self.dispatch.verified += 1;
         } else {
             self.dispatch.entry_checks += 1;
-            if !k.m.validate_entry_window(entry_linear, 64, 16) {
-                self.dispatch.entry_check_failures += 1;
-            }
         }
 
         // Patch the per-invocation target slot (the kernel indexes its
@@ -791,13 +773,6 @@ impl KernelExtensions {
         k.m.cpu.set_reg(Reg::Ebx, kprepare);
         k.m.cpu.eip = self.invoke_stub;
 
-        // A verified segment's instruction stream provably matches what
-        // the disassembler saw, so predecode can be enabled eagerly for
-        // the whole run instead of warming up per fetch.
-        let saved_predecode = k.m.predecode_enabled();
-        if verified {
-            k.m.set_predecode(true);
-        }
         let deadline = k.m.cycles() + k.extension_cycle_limit;
         let result = loop {
             match k.m.run_until_cycles(deadline) {
@@ -832,7 +807,6 @@ impl KernelExtensions {
             }
         };
 
-        k.m.set_predecode(saved_predecode);
         k.m.cpu = snapshot;
         k.m.tss.stack[0] = saved_tss0;
         result
@@ -1279,7 +1253,6 @@ impl KernelExtensions {
         e.u64(self.reclaims);
         e.u64(self.dispatch.verified);
         e.u64(self.dispatch.entry_checks);
-        e.u64(self.dispatch.entry_check_failures);
     }
 
     /// Rebuilds the mechanism from [`save_into`](Self::save_into) bytes.
@@ -1309,7 +1282,6 @@ impl KernelExtensions {
         let dispatch = DispatchStats {
             verified: d.u64()?,
             entry_checks: d.u64()?,
-            entry_check_failures: d.u64()?,
         };
         Ok(KernelExtensions {
             segments,
@@ -1629,7 +1601,9 @@ fn get_segment(d: &mut Dec) -> Result<ExtSegment, RestoreError> {
     let mut proofs = Vec::with_capacity(nproofs);
     for _ in 0..nproofs {
         let at = d.u32()?;
-        proofs.push((at, ckpt::get_proof_map(d)?));
+        let map = ckpt::get_proof_map(d)?;
+        ckpt::check_proofs_fit(d, u64::from(base) + u64::from(at), &map)?;
+        proofs.push((at, map));
     }
     Ok(ExtSegment {
         base,

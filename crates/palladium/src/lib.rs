@@ -42,7 +42,7 @@
 //!   [`ExtensibleApp::leak_audit`] serve all three.
 //! * [`session`] — the [`Session`] façade: a booted kernel plus its
 //!   promoted application behind one load/resolve/call/close API, with
-//!   verification, attestation and predecode as [`DlopenOptions`] and the
+//!   verification and attestation as [`DlopenOptions`] and the
 //!   isolation mechanism selectable per session or per load.
 //! * [`error`] — the unified [`Error`] enum: the user-level runtime
 //!   returns it directly and every other subsystem error converts into

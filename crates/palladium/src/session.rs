@@ -95,7 +95,7 @@ impl Session {
     }
 
     /// Loads an extension (the paper's `seg_dlopen`), with verification,
-    /// attestation and predecode governed by `opts`. The extension is
+    /// attestation and backend governed by `opts`. The extension is
     /// guarded by the backend `opts` names, falling back to the session
     /// default ([`backend`](Self::backend)).
     pub fn dlopen(&mut self, obj: &Object, opts: &DlopenOptions) -> Result<ExtensionHandle, Error> {
@@ -155,14 +155,6 @@ impl Session {
     /// Per-invocation CPU-time budget for protected calls (§4.5.2).
     pub fn set_cycle_limit(&mut self, cycles: u64) {
         self.k.extension_cycle_limit = cycles;
-    }
-
-    /// Baseline predecode mode of the simulator (the host-side fast
-    /// path; guest-visible behaviour is unchanged). Verified extensions
-    /// may still enable predecode eagerly per call unless their load
-    /// opted out via [`DlopenOptions::predecode`].
-    pub fn set_predecode(&mut self, on: bool) {
-        self.k.m.set_predecode(on);
     }
 
     /// The underlying kernel (cycle counters, stats, memory).

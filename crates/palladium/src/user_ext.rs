@@ -89,8 +89,8 @@ pub struct ExtensionHandle(usize);
 
 /// Options for [`ExtensibleApp::dlopen`] (and
 /// [`Session::dlopen`](crate::Session::dlopen)): one loader, with
-/// verification, attestation and predecode as *options* rather than
-/// parallel function variants.
+/// verification and attestation as *options* rather than parallel
+/// function variants.
 ///
 /// ```
 /// use palladium::DlopenOptions;
@@ -98,12 +98,10 @@ pub struct ExtensionHandle(usize);
 /// // A plain load, defaults everywhere:
 /// let opts = DlopenOptions::new();
 ///
-/// // A verified load with a bigger heap and the eager-predecode fast
-/// // path declined:
+/// // A verified load with a bigger heap:
 /// let opts = DlopenOptions::new()
 ///     .heap_pages(16)
-///     .verify(&["entry", "reset"])
-///     .predecode(false);
+///     .verify(&["entry", "reset"]);
 /// # let _ = opts;
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -111,14 +109,12 @@ pub struct DlopenOptions {
     stack_pages: Option<u32>,
     heap_pages: Option<u32>,
     verify_entries: Option<Vec<String>>,
-    predecode_opt_out: bool,
     backend: Option<BackendKind>,
 }
 
 impl DlopenOptions {
     /// Default options: 4 stack pages, 4 heap pages, no load-time
-    /// verification, eager predecode permitted (it only ever activates
-    /// for verified extensions).
+    /// verification.
     pub fn new() -> DlopenOptions {
         DlopenOptions::default()
     }
@@ -140,19 +136,9 @@ impl DlopenOptions {
     /// `seg_dlsym`; verification walks every instruction reachable from
     /// them. On rejection the extension is unloaded and the load returns
     /// [`Error::Verify`]; on success the handle carries a `Verified`
-    /// attestation and protected calls take the verified-dispatch fast
-    /// path (unless [`predecode(false)`](Self::predecode) opts out).
+    /// attestation whose block proofs become simulator proof tokens.
     pub fn verify<S: AsRef<str>>(mut self, entries: &[S]) -> DlopenOptions {
         self.verify_entries = Some(entries.iter().map(|s| s.as_ref().to_string()).collect());
-        self
-    }
-
-    /// Whether a `Verified` attestation may license eager predecode on
-    /// calls into this extension (default `true`). Purely a host
-    /// performance knob: simulated cycles, faults and results are
-    /// identical either way.
-    pub fn predecode(mut self, on: bool) -> DlopenOptions {
-        self.predecode_opt_out = !on;
         self
     }
 
@@ -214,12 +200,8 @@ struct Ext {
     stack: (u32, u32),
     heap: (u32, u32),
     /// `Verified` attestation from a load with
-    /// [`DlopenOptions::verify`]; licenses eager predecode on protected
-    /// calls into this extension.
+    /// [`DlopenOptions::verify`]; its block proofs back proof tokens.
     verified: Option<Attestation>,
-    /// Whether the attestation may actually enable eager predecode
-    /// ([`DlopenOptions::predecode`]; default yes).
-    eager_predecode: bool,
     /// Which isolation backend guards this extension.
     backend: BackendKind,
     /// SFI sandbox region `(base, size)` — [`BackendKind::Sfi`] only.
@@ -246,8 +228,8 @@ pub struct ExtensibleApp {
     pub calls: u64,
     /// Calls aborted by fault or time limit.
     pub aborted_calls: u64,
-    /// Protected calls that took the verified-dispatch fast path (eager
-    /// predecode licensed by a load-time attestation).
+    /// Protected calls into an extension holding a load-time
+    /// attestation. Accounting only: they dispatch like any other call.
     pub verified_calls: u64,
     invoke_stub: u32,
     callgate_addr: u32,
@@ -375,8 +357,8 @@ impl ExtensibleApp {
     /// at SPL 3, with an eagerly-resolved sealed GOT for any
     /// shared-library imports, plus a private stack and `xmalloc` heap.
     ///
-    /// This is the paper's `seg_dlopen` with verification, attestation
-    /// and predecode folded in as [`DlopenOptions`] rather than parallel
+    /// This is the paper's `seg_dlopen` with verification and
+    /// attestation folded in as [`DlopenOptions`] rather than parallel
     /// entry points: pass [`DlopenOptions::verify`] to run the static
     /// verifier over the linked image before the handle is returned
     /// (rejections unload the extension and surface as
@@ -527,7 +509,6 @@ impl ExtensibleApp {
             stack: (stack_base, stack_base + stack_pages * PAGE_SIZE),
             heap: (heap_base, heap_base + heap_pages * PAGE_SIZE),
             verified: None,
-            eager_predecode: !opts.predecode_opt_out,
             backend: kind,
             sandbox: None,
             closed: false,
@@ -663,7 +644,6 @@ impl ExtensibleApp {
             stack: (data_base, heap_base),
             heap: (heap_base, base + size),
             verified: None,
-            eager_predecode: false,
             backend: BackendKind::Sfi,
             sandbox: Some((base, size)),
             closed: false,
@@ -961,20 +941,11 @@ impl ExtensibleApp {
         arg: u32,
     ) -> Result<u32, ExtCallError> {
         k.switch_to(self.tid);
-        // Verified-dispatch fast path: a call whose Prepare routine
-        // belongs to an extension holding a `Verified` attestation may
-        // run with predecode enabled eagerly — the attestation proves
-        // the disassembled view matches the executed stream.
         let verified = self.exts.iter().any(|e| {
-            !e.closed
-                && e.verified.is_some()
-                && e.eager_predecode
-                && e.preps.values().any(|&(p, _)| p == prepare)
+            !e.closed && e.verified.is_some() && e.preps.values().any(|&(p, _)| p == prepare)
         });
-        let saved_predecode = k.m.predecode_enabled();
         if verified {
             self.verified_calls += 1;
-            k.m.set_predecode(true);
         }
         let snapshot = k.m.cpu.clone();
         k.m.cpu.set_reg(Reg::Eax, arg);
@@ -983,7 +954,6 @@ impl ExtensibleApp {
 
         let limit = k.extension_cycle_limit;
         let out = k.run_current(Budget::Cycles(limit));
-        k.m.set_predecode(saved_predecode);
         match out {
             Outcome::Hook(v) if v == UEXT_DONE_VECTOR => {
                 let result = k.m.cpu.reg(Reg::Eax);
@@ -1232,7 +1202,6 @@ fn put_ext(e: &mut Enc, x: &Ext) {
     e.u32(x.heap.0);
     e.u32(x.heap.1);
     ckpt::put_opt_attestation(e, x.verified.as_ref());
-    e.bool(x.eager_predecode);
     e.u8(x.backend.code());
     ckpt::put_opt_pair(e, x.sandbox);
     e.bool(x.closed);
@@ -1260,7 +1229,9 @@ fn get_ext(d: &mut Dec) -> Result<Ext, RestoreError> {
     let stack = (d.u32()?, d.u32()?);
     let heap = (d.u32()?, d.u32()?);
     let verified = ckpt::get_opt_attestation(d)?;
-    let eager_predecode = d.bool()?;
+    if let Some(att) = &verified {
+        ckpt::check_proofs_fit(d, u64::from(base), &att.proofs)?;
+    }
     let code = d.u8()?;
     let backend = BackendKind::from_code(code).ok_or_else(|| d.fail("unknown backend code"))?;
     let sandbox = ckpt::get_opt_pair(d)?;
@@ -1280,7 +1251,6 @@ fn get_ext(d: &mut Dec) -> Result<Ext, RestoreError> {
         stack,
         heap,
         verified,
-        eager_predecode,
         backend,
         sandbox,
         closed,

@@ -34,10 +34,9 @@
 //! accepted and left to the segment-limit and page-protection hardware,
 //! which remains the soundness backstop — exactly the division of labour
 //! DESIGN.md §7 describes. What a `Verified` attestation licenses eliding
-//! is therefore the *redundant software* work on the dispatch path
-//! (per-call entry re-validation, lazy predecode, and — through the
-//! proof map — per-instruction segment checks whose outcome the proof
-//! predetermines), never the hardware checks themselves.
+//! is therefore only *redundant software* work: through the proof map,
+//! per-instruction segment checks whose outcome the proof predetermines,
+//! never the hardware checks themselves.
 
 #![warn(clippy::pedantic)]
 #![allow(
@@ -64,9 +63,9 @@ pub use proofs::{BlockProof, LoopClass, ProofMap};
 pub use scan::verify_image;
 
 /// Proof-carrying summary of a successful verification, stored by the
-/// loader next to the segment's configuration. Its existence is what
-/// licenses the verified-dispatch fast path, and its [`ProofMap`] is
-/// what licenses per-block check elision.
+/// loader next to the segment's configuration. Its [`ProofMap`] licenses
+/// per-block check elision (proof tokens); dispatch does not otherwise
+/// depend on it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Attestation {
     /// Entry points traversed (exports plus resolved indirect targets).

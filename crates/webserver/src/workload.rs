@@ -102,6 +102,8 @@ pub struct ShardStats {
     pub requests: u32,
     /// Simulated cycles the group's server spent serving them.
     pub cycles: u64,
+    /// Guest instructions the group's server retired serving them.
+    pub insns: u64,
     /// Response bytes produced.
     pub resp_bytes: u64,
 }
@@ -142,6 +144,7 @@ where
         let mut server = make_server()?;
         let mut rng = SeedRng::stream(seed, u64::from(g));
         let start = server.k.m.cycles();
+        let start_insns = server.k.m.insns();
         let mut resp_bytes = 0u64;
         for _ in 0..reqs {
             let raw = jittered_get(&mut rng, path);
@@ -152,6 +155,7 @@ where
             ShardStats {
                 requests: reqs,
                 cycles: server.k.m.cycles() - start,
+                insns: server.k.m.insns() - start_insns,
                 resp_bytes,
             },
             server.link,

@@ -7,7 +7,7 @@
 //! for detection, not compactness:
 //!
 //! ```text
-//! magic[4] version:u32(=2) kind:u32 nsec:u32
+//! magic[4] version:u32(=3) kind:u32 nsec:u32
 //!   ( id:u32 len:u32 payload[len] crc32(payload) )*   // ids strictly ascending
 //! crc32(everything above)
 //! ```
@@ -40,7 +40,7 @@
 //! unbounded allocation.
 //!
 //! What is deliberately **not** in an image: predecode caches, page
-//! translation memos, execution traces, and per-frame store/code
+//! translation memos, execution traces, and per-frame code
 //! generations. All of it is host-side derived state, rebuilt on demand;
 //! the memo/stat accounting is constructed so its absence is invisible
 //! (memo hits count as TLB hits, predecode is a host knob). The
@@ -58,7 +58,7 @@ pub const MAGIC: [u8; 4] = *b"PDIM";
 
 /// Current format version. Bumped on any incompatible layout change; a
 /// mismatch is a typed [`RestoreError::Version`], never a guess.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Header bytes: magic, version, kind, section count.
 const HEADER_LEN: usize = 16;
@@ -899,9 +899,9 @@ mod tests {
             }
         );
         // A genuine future- or past-version image (correct trailer CRC)
-        // is rejected on the version field, not the CRC; there is no v1
-        // reader.
-        for found in [VERSION + 1, 1] {
+        // is rejected on the version field, not the CRC; there is no
+        // reader for any older version.
+        for found in [VERSION + 1, VERSION - 1, 1] {
             let mut skewed = img.clone();
             skewed[4..8].copy_from_slice(&found.to_le_bytes());
             let n = skewed.len();

@@ -642,11 +642,6 @@ impl Machine {
         }
     }
 
-    /// Whether the predecode fast path is enabled.
-    pub fn predecode_enabled(&self) -> bool {
-        self.predecode
-    }
-
     /// Host-side hit/miss counters of the predecode cache.
     pub fn predecode_stats(&self) -> PredecodeStats {
         self.icache.stats()
@@ -1633,7 +1628,7 @@ impl Machine {
     /// Returns `false` if any page was unmapped.
     pub fn host_write(&mut self, linear: u32, data: &[u8]) -> bool {
         // One translation per page span, then a bulk physical copy (which
-        // bumps the span's store generation once, like any other store).
+        // records the span as one store, like any other).
         let mut done = 0usize;
         while done < data.len() {
             let l = linear.wrapping_add(done as u32);
@@ -1656,39 +1651,6 @@ impl Machine {
     /// Writes a u32 at a linear address (host view).
     pub fn host_write_u32(&mut self, linear: u32, v: u32) -> bool {
         self.host_write(linear, &v.to_le_bytes())
-    }
-
-    /// Advisory host-side check that `linear` begins a decodable
-    /// straight-line instruction window: decodes up to `max_insns`
-    /// instructions from at most `max_bytes` bytes, stopping early at any
-    /// control transfer. Returns `false` on undecodable bytes.
-    ///
-    /// Loaders dispatching into code that carries no load-time
-    /// attestation use this to re-validate entry points per call; a
-    /// `Verified` attestation licenses skipping it. Charges no cycles and
-    /// never changes machine state.
-    pub fn validate_entry_window(&self, linear: u32, max_bytes: usize, max_insns: u32) -> bool {
-        let buf = self.host_read(linear, max_bytes);
-        let mut off = 0usize;
-        for _ in 0..max_insns {
-            match decode(&buf[off..]) {
-                Ok((insn, len)) => {
-                    if insn.is_control() {
-                        return true;
-                    }
-                    off += len;
-                    if off >= buf.len() {
-                        return true;
-                    }
-                }
-                // A window ending mid-instruction is indistinguishable
-                // from a longer valid one; only a hard bad opcode or
-                // operand fails the check.
-                Err(DecodeError::Truncated) => return true,
-                Err(_) => return false,
-            }
-        }
-        true
     }
 
     fn host_translate(&self, linear: u32) -> Option<u32> {

@@ -3,16 +3,15 @@
 //! The machine addresses a full 32-bit (4 GB) physical space; frames are
 //! allocated lazily so only touched pages cost host memory.
 //!
-//! Every frame carries a *store generation*, bumped on each mutation of
-//! the frame (guest stores, host writes, the loader, page-table updates,
-//! fault injection — everything funnels through [`PhysMem`]), and a
-//! *code generation*, bumped only when a store overlaps bytes a cached
-//! decode actually consumed (tracked byte-exactly in a per-frame code
-//! mask). Both are pure host-side bookkeeping: they never affect
-//! simulated semantics or cycle accounting. The predecoded-instruction
-//! cache ([`crate::predecode`]) validates against the code generation to
-//! notice self-modifying code without being invalidated by stacks or
-//! data that merely share a page with code.
+//! Every mutation of a frame (guest stores, host writes, the loader,
+//! page-table updates, fault injection) funnels through [`PhysMem`]'s
+//! store paths. Each frame carries a *code generation*, bumped only when
+//! a store overlaps bytes a cached decode actually consumed (tracked
+//! byte-exactly in a per-frame code mask). It is pure host-side
+//! bookkeeping: it never affects simulated semantics or cycle
+//! accounting. The predecoded-instruction cache ([`crate::predecode`])
+//! validates against it to notice self-modifying code without being
+//! invalidated by stacks or data that merely share a page with code.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -84,20 +83,19 @@ fn span_bits(lo: usize, hi: usize) -> u64 {
     }
 }
 
-/// One backed frame: its bytes, the store generation, and the code
-/// generation + mask driving predecode invalidation.
+/// One backed frame: its bytes, and the code generation + mask driving
+/// predecode invalidation.
 ///
 /// The payload lives behind an `Arc` so cloning a [`PhysMem`] (a world
 /// snapshot/fork) shares the 4 KB byte arrays instead of copying them:
 /// a refcount above one *is* the frozen/shared state. The metadata
-/// (generations, code mask) is cloned per world — generation bumps and
+/// (code generation and mask) is cloned per world — generation bumps and
 /// code marking in one fork never disturb its siblings. Every payload
 /// mutation funnels through [`Frame::data_mut`], which splits a shared
 /// payload privately before writing (copy-on-write).
 #[derive(Debug, Clone)]
 struct Frame {
     data: Arc<[u8; PAGE_SIZE as usize]>,
-    gen: u64,
     /// Bumped only by stores that overlap bytes a cached decode consumed
     /// (per `code_mask`); the generation the predecode cache validates.
     code_gen: u64,
@@ -108,7 +106,6 @@ impl Frame {
     fn new() -> Frame {
         Frame {
             data: Arc::new([0u8; PAGE_SIZE as usize]),
-            gen: 0,
             code_gen: 0,
             code_mask: None,
         }
@@ -123,15 +120,13 @@ impl Frame {
         Arc::make_mut(&mut self.data)
     }
 
-    /// Records a store of `len` bytes at page offset `off`: always bumps
-    /// the store generation, and bumps the code generation only when the
-    /// store overlaps cached-code bytes (byte-exact, so data that merely
-    /// shares a page with code — stacks, save slots, patch targets —
-    /// never invalidates decodes). Returns whether the code generation
+    /// Records a store of `len` bytes at page offset `off`: bumps the
+    /// code generation only when the store overlaps cached-code bytes
+    /// (byte-exact, so data that merely shares a page with code — stacks,
+    /// save slots, patch targets — never invalidates decodes). Returns whether the code generation
     /// moved, so the owning [`PhysMem`] can advance its global
     /// code-invalidation epoch.
     fn note_store(&mut self, off: usize, len: usize) -> bool {
-        self.gen += 1;
         if let Some(mask) = &mut self.code_mask {
             let last = off + len - 1;
             for w in (off >> 6)..=(last >> 6) {
@@ -223,18 +218,6 @@ impl PhysMem {
         Arc::make_mut(&mut self.index)
     }
 
-    /// The store generation of the frame containing `addr`.
-    ///
-    /// Unbacked frames report 0; the first write to a frame moves it to
-    /// 1, so a cached decode of (all-zero) unbacked bytes is invalidated
-    /// by the write that backs the frame.
-    pub fn frame_generation(&self, addr: u32) -> u64 {
-        match self.index.get(&(addr >> 12)) {
-            Some(&i) => self.slabs[i as usize].gen,
-            None => 0,
-        }
-    }
-
     /// Borrows the 4 KB of the frame containing `addr`, if backed.
     pub fn frame_data(&self, addr: u32) -> Option<&[u8; PAGE_SIZE as usize]> {
         self.index
@@ -243,9 +226,9 @@ impl PhysMem {
     }
 
     /// Slab slot of the frame containing `addr`, allocating the (zeroed)
-    /// frame if unbacked — *without* bumping its store generation.
-    /// Allocation is not a store: the frame's bytes are the same zeros
-    /// reads already observed.
+    /// frame if unbacked — *without* recording a store. Allocation is not
+    /// a store: the frame's bytes are the same zeros reads already
+    /// observed.
     ///
     /// CoW invariant: this "touch without bumping" path never mutates
     /// payload bytes, so it must not — and does not — split a payload
@@ -268,8 +251,8 @@ impl PhysMem {
 
     /// The *code* generation of the frame in slab slot `slot` (0 for an
     /// out-of-range slot). One array read — the predecode cache's
-    /// per-fetch validation. Unlike the store generation it only moves
-    /// when a store overlapped bytes marked by [`PhysMem::mark_code`].
+    /// per-fetch validation. It only moves when a store overlapped bytes
+    /// marked by [`PhysMem::mark_code`].
     #[inline]
     pub fn slot_code_generation(&self, slot: u32) -> u64 {
         self.slabs.get(slot as usize).map_or(0, |f| f.code_gen)
@@ -339,7 +322,7 @@ impl PhysMem {
         u32::from_le_bytes(d[i..i + 4].try_into().unwrap())
     }
 
-    /// Writes one byte through a slab slot, with the same generation
+    /// Writes one byte through a slab slot, with the same code-generation
     /// bookkeeping as the address-keyed stores.
     #[inline]
     pub fn write_u8_slot(&mut self, slot: u32, off: u32, v: u8) {
@@ -367,8 +350,8 @@ impl PhysMem {
         f.data_mut()[off as usize..off as usize + 4].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// The frame containing `addr`, allocated on demand, with its
-    /// generations advanced for a `len`-byte store at `addr` — call only
+    /// The frame containing `addr`, allocated on demand, with the store
+    /// of `len` bytes at `addr` recorded (`Frame::note_store`) — call only
     /// on the mutation paths, with the span inside one frame.
     fn frame_mut(&mut self, addr: u32, len: usize) -> &mut Frame {
         let idx = self.ensure_frame_slot(addr) as usize;
@@ -480,7 +463,7 @@ impl PhysMem {
     /// host-dependent order, and slab slot numbers are allocation-order
     /// accidents).
     ///
-    /// Store/code generations and code masks are *not* serialized: they
+    /// Code generations and code masks are *not* serialized: they
     /// exist only to invalidate the predecode cache, which a restored
     /// world rebuilds from scratch.
     pub(crate) fn save_into(&self, e: &mut Enc) {
@@ -513,7 +496,6 @@ impl PhysMem {
             index.insert(page, slabs.len() as u32);
             slabs.push(Frame {
                 data: Arc::new(data),
-                gen: 1,
                 code_gen: 0,
                 code_mask: None,
             });
@@ -721,30 +703,40 @@ mod tests {
 
     #[test]
     fn store_generations_track_every_mutation_path() {
+        // Every mutation path funnels through `note_store`: with the
+        // whole frame marked as cached code, each store must bump the
+        // frame's code generation (a bump clears the mask, so re-mark).
         let mut m = PhysMem::new();
-        assert_eq!(m.frame_generation(0x5000), 0, "unbacked frame is gen 0");
-
-        m.write_u8(0x5000, 1);
-        let g1 = m.frame_generation(0x5000);
-        assert!(g1 >= 1, "first write backs the frame and bumps it");
-
-        m.write_u32(0x5100, 0xAABBCCDD);
-        let g2 = m.frame_generation(0x5000);
-        assert!(g2 > g1);
-
-        m.write_bytes(0x5FF0, &[7u8; 32]);
-        assert!(m.frame_generation(0x5000) > g2, "straddling copy bumps");
-        assert!(m.frame_generation(0x6000) >= 1, "both touched frames bump");
-
-        let g3 = m.frame_generation(0x5000);
-        m.zero(0x5000, 16);
-        assert!(m.frame_generation(0x5000) > g3);
+        let a = m.ensure_frame_slot(0x5000);
+        let b = m.ensure_frame_slot(0x6000);
+        let page = PAGE_SIZE as usize;
+        let bumps = |m: &mut PhysMem, what: &str, store: &dyn Fn(&mut PhysMem)| {
+            m.mark_code(a, 0, page);
+            m.mark_code(b, 0, page);
+            let (ga, gb) = (m.slot_code_generation(a), m.slot_code_generation(b));
+            store(m);
+            assert!(m.slot_code_generation(a) > ga, "{what} bumps");
+            gb
+        };
+        bumps(&mut m, "write_u8", &|m| m.write_u8(0x5000, 1));
+        bumps(&mut m, "write_u16", &|m| m.write_u16(0x5010, 2));
+        bumps(&mut m, "write_u32", &|m| m.write_u32(0x5100, 0xAABB_CCDD));
+        let gb = bumps(&mut m, "straddling write_bytes", &|m| {
+            m.write_bytes(0x5FF0, &[7u8; 32])
+        });
+        assert!(m.slot_code_generation(b) > gb, "both touched frames bump");
+        bumps(&mut m, "zero", &|m| m.zero(0x5000, 16));
+        bumps(&mut m, "write_u8_slot", &|m| m.write_u8_slot(a, 3, 9));
+        bumps(&mut m, "write_u16_slot", &|m| m.write_u16_slot(a, 6, 9));
+        bumps(&mut m, "write_u32_slot", &|m| m.write_u32_slot(a, 8, 9));
 
         // Reads never bump.
-        let g4 = m.frame_generation(0x5000);
+        m.mark_code(a, 0, page);
+        let g = m.slot_code_generation(a);
         let _ = m.read_u32(0x5000);
         let _ = m.read_bytes(0x5000, 64);
-        assert_eq!(m.frame_generation(0x5000), g4);
+        let _ = m.read_u32_slot(a, 0);
+        assert_eq!(m.slot_code_generation(a), g);
     }
 
     #[test]
@@ -835,12 +827,9 @@ mod tests {
         assert_eq!(fork.read_u32(0x1000), 0xDEAD_BEEF);
 
         // First write in the fork materializes only that frame.
-        let g_before = m.frame_generation(0x1000);
         fork.write_u32(0x1000, 0xCAFE_F00D);
         assert_eq!(fork.read_u32(0x1000), 0xCAFE_F00D);
         assert_eq!(m.read_u32(0x1000), 0xDEAD_BEEF, "template untouched");
-        assert_eq!(m.frame_generation(0x1000), g_before, "template gen private");
-        assert!(fork.frame_generation(0x1000) > g_before, "fork gen bumped");
         assert_eq!(m.shared_frames(), 1, "only the untouched frame shares");
 
         // Writes in the template split too, without touching the fork.

@@ -238,6 +238,11 @@ impl Mmu {
     /// Rebuilds an MMU from a payload written by [`Mmu::save_into`].
     pub(crate) fn restore_from(d: &mut Dec<'_>) -> Result<Mmu, RestoreError> {
         let cr3 = d.u32()?;
+        // `set_cr3` only ever holds a frame address; page walks add the
+        // directory offset to it unchecked.
+        if cr3 & !pte::FRAME != 0 {
+            return Err(d.fail(format!("cr3 {cr3:#x} not page-aligned")));
+        }
         let enabled = d.bool()?;
         let epoch = d.u64()?;
         let stats = TlbStats {

@@ -55,7 +55,7 @@ pub struct PredecodeStats {
 const SLOTS: usize = 1 << 13;
 
 /// One cached decode: the instruction, its encoded length, its base
-/// cycle cost, and the slab slots + store generations of the frame(s)
+/// cycle cost, and the slab slots + code generations of the frame(s)
 /// the bytes came from. Line-aligned so a hit touches one cache line.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(64))]

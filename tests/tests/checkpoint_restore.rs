@@ -21,7 +21,7 @@ use palladium::kernel_ext::{ExtSegmentId, KernelExtensions};
 use palladium::supervisor::RestartPolicy;
 use palladium::{DlopenOptions, Session};
 use seedrng::SeedRng;
-use x86sim::image::{base, kind, Dec, Enc, ImageBuilder, ImageView, RestoreError};
+use x86sim::image::{base, kind, Dec, Enc, ImageView, RestoreError};
 use x86sim::machine::Machine;
 
 // --- figure7 workload: kernel + kernel extensions ------------------------
@@ -107,7 +107,7 @@ fn figure7_restore_is_byte_identical_forward() {
 /// one that dereferences an unmapped kernel address.
 fn campaign_world(predecode: bool) -> (Session, u32, u32) {
     let mut s = Session::new().expect("boot");
-    s.set_predecode(predecode);
+    s.kernel_mut().m.set_predecode(predecode);
     let good = Assembler::assemble("double:\nmov eax, [esp+4]\nadd eax, eax\nret\n").unwrap();
     let h = s
         .dlopen(&good, &DlopenOptions::new().verify(&["double"]))
@@ -334,30 +334,12 @@ fn replica_image_carries_the_machine_sections_verbatim() {
     }
 }
 
-/// Re-emits `img`'s sections through a fresh [`ImageBuilder`], with the
-/// u32 at byte `at` of section `id` replaced by `u32::MAX`: a hostile
-/// writer whose every CRC is valid.
-fn with_hostile_count(img: &[u8], k: u32, id: u32, at: usize) -> Vec<u8> {
-    let v = ImageView::parse(img, k).expect("pristine image");
-    assert!(v.section(id).is_some(), "section {id:#x} absent");
-    let mut b = ImageBuilder::new(k);
-    for &(sid, payload) in v.sections() {
-        let mut p = payload.to_vec();
-        if sid == id {
-            p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        }
-        let mut e = Enc::new();
-        e.bytes(&p);
-        b.section(sid, e);
-    }
-    b.finish()
-}
-
 /// Counts decoded from an image bound every allocation they size: a
 /// valid-CRC image claiming `u32::MAX` elements is a typed error, never
 /// an abort (this suite also runs under `ulimit -v` in CI).
 #[test]
 fn hostile_writer_counts_are_typed_errors() {
+    use chaos::corrupt::with_hostile_count;
     let r = warm_replica();
     let truncated = |section| RestoreError::Truncated { section };
 
@@ -382,6 +364,61 @@ fn hostile_writer_counts_are_typed_errors() {
         Replica::restore(&bad).err(),
         Some(truncated("replica.state"))
     );
+}
+
+/// Seeded hostile writers at every layer: a `u32::MAX` at a random
+/// aligned payload offset of a random section, every CRC valid. Such an
+/// image may legitimately restore, but restore must return `Ok` or a
+/// typed error — never panic or abort.
+#[test]
+fn hostile_writer_images_restore_or_fail_typed_at_every_layer() {
+    let (session, double, _) = campaign_world(true);
+    let mut warm = session.fork();
+    warm.call(double, 5).unwrap();
+    let machine_img = warm.kernel().m.save_image();
+    let kernel_img = warm.kernel().save_image();
+    let session_img = warm.checkpoint();
+    let replica_img = warm_replica().checkpoint();
+
+    type Restore = fn(&[u8]) -> Result<(), RestoreError>;
+    let layers: [(&str, u32, &[u8], Restore); 4] = [
+        ("machine", kind::MACHINE, &machine_img, |b| {
+            Machine::restore_image(b).map(drop)
+        }),
+        ("kernel", kind::KERNEL, &kernel_img, |b| {
+            Kernel::restore_image(b).map(drop)
+        }),
+        ("session", kind::SESSION, &session_img, |b| {
+            Session::restore(b).map(drop)
+        }),
+        ("replica", kind::REPLICA, &replica_img, |b| {
+            Replica::restore(b).map(drop)
+        }),
+    ];
+    for (layer, k, img, restore) in layers {
+        for seed in 0..64u64 {
+            let mut r = SeedRng::new(seed);
+            let (id, at, bad) = chaos::corrupt::hostile_writer_image(img, k, &mut r);
+            assert!(
+                ImageView::parse(&bad, k).is_ok(),
+                "{layer} seed {seed}: CRCs must stay valid"
+            );
+            let outcome = std::panic::catch_unwind(|| restore(&bad));
+            match outcome {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => assert!(!format!("{e}").is_empty()),
+                Err(_) => panic!("{layer} seed {seed}: section {id:#x} offset {at} panicked"),
+            }
+        }
+    }
+
+    // An unaligned `cr3` would overflow the page walk when a restored
+    // session reinstalls its proof tokens; restore must refuse it.
+    let bad = chaos::corrupt::with_hostile_count(&session_img, kind::SESSION, base::MACHINE + 6, 0);
+    assert!(matches!(
+        Session::restore(&bad),
+        Err(RestoreError::Malformed { section: "mmu", .. })
+    ));
 }
 
 // --- corruption matrix: every class × every image layer ------------------

@@ -1,15 +1,15 @@
 //! Load-time static verification, end to end: shipped extensions are
 //! admitted unchanged, hostile ones are rejected with typed errors,
-//! admission failures never burn supervision strikes, and the verified
-//! fast path changes host-side work only — simulated results and cycle
-//! charges are identical either way.
+//! admission failures never burn supervision strikes, and an attestation
+//! changes neither simulated results, cycle charges nor the simulator's
+//! predecode mode.
 
 use asm86::Assembler;
 use minikernel::Kernel;
 use palladium::kernel_ext::{KernelExtensions, KextError, SegmentConfig};
 use palladium::supervisor::{ModuleImage, RestartPolicy, SupervisedState, Supervisor};
 use palladium::user_ext::{DlopenOptions, ExtensibleApp};
-use palladium::{Error, VerifyError};
+use palladium::{Error, Session, VerifyError};
 use seedrng::SeedRng;
 
 fn obj(src: &str) -> asm86::Object {
@@ -26,9 +26,8 @@ fn verifying() -> SegmentConfig {
 // --- kernel side -----------------------------------------------------------
 
 /// The same module, loaded verified and unverified: identical return
-/// values and identical simulated cycle charges. The attestation only
-/// licenses skipping host-side work (per-call entry re-validation) and
-/// enabling predecode eagerly — both invisible to the guest.
+/// values and identical simulated cycle charges; `DispatchStats` only
+/// counts which kind of segment was called.
 #[test]
 fn verified_dispatch_is_cycle_identical_to_unverified() {
     let src = "dbl:\nmov eax, [esp+4]\nadd eax, eax\nret\n";
@@ -55,7 +54,45 @@ fn verified_dispatch_is_cycle_identical_to_unverified() {
     assert_eq!(stats1.entry_checks, 0);
     assert_eq!(stats0.verified, 0);
     assert_eq!(stats0.entry_checks, 1);
-    assert_eq!(stats0.entry_check_failures, 0);
+}
+
+/// `Machine::set_predecode` is the only predecode switch: with it off,
+/// verified kernel and user calls stay on the byte-wise fetch path
+/// (no predecode hits or misses at all).
+#[test]
+fn attestation_never_enables_predecode() {
+    let src = "dbl:\nmov eax, [esp+4]\nadd eax, eax\nret\n";
+
+    let mut k = Kernel::boot();
+    k.m.set_predecode(false);
+    let mut kx = KernelExtensions::new(&mut k).unwrap();
+    let seg = kx.create_segment_with(&mut k, 8, verifying()).unwrap();
+    kx.insmod(&mut k, seg, "m", &obj(src), &["dbl"]).unwrap();
+    let before = k.m.predecode_stats();
+    assert_eq!(kx.invoke(&mut k, seg, "dbl", 21).unwrap(), 42);
+    assert_eq!(kx.dispatch.verified, 1);
+    let pre = k.m.predecode_stats();
+    assert_eq!(
+        (pre.hits - before.hits, pre.misses - before.misses),
+        (0, 0),
+        "kernel call predecoded"
+    );
+
+    let mut s = Session::new().unwrap();
+    s.kernel_mut().m.set_predecode(false);
+    let h = s
+        .dlopen(&obj(src), &DlopenOptions::new().verify(&["dbl"]))
+        .unwrap();
+    let f = s.dlsym(h, "dbl").unwrap();
+    let before = s.kernel().m.predecode_stats();
+    assert_eq!(s.call(f, 21).unwrap(), 42);
+    assert_eq!(s.app().verified_calls, 1);
+    let pre = s.kernel().m.predecode_stats();
+    assert_eq!(
+        (pre.hits - before.hits, pre.misses - before.misses),
+        (0, 0),
+        "user call predecoded"
+    );
 }
 
 /// A rejected module leaves the segment untouched: the typed error names
@@ -204,7 +241,7 @@ fn verify_failure_at_restart_tombstones_without_burning_strikes() {
 // --- user side -------------------------------------------------------------
 
 /// A `DlopenOptions::verify` load admits the quickstart extension, attaches an
-/// attestation, and protected calls take the verified fast path while
+/// attestation, and protected calls into it are counted as verified while
 /// returning exactly the same results.
 #[test]
 fn verified_user_extension_round_trip() {
