@@ -28,10 +28,11 @@
 //! host seconds for each, and the speedup.
 //!
 //! A fifth section, `durability`, covers durable checkpoints: image
-//! size and save/restore latency for each world layer (machine, kernel,
-//! session, replica), plus the fleet crash-recovery drills — a replica
-//! killed mid-stream and restored from its checkpoint lineage, with and
-//! without corrupted newest generations forcing a walk-back.
+//! size, trailer CRC (a fingerprint of every byte) and save/restore
+//! latency for each world layer (machine, kernel, session, replica),
+//! plus the fleet crash-recovery drills — a replica killed mid-stream
+//! and restored from its checkpoint lineage, with and without corrupted
+//! newest generations forcing a walk-back.
 //!
 //! Usage: `sim_throughput [--quick] [--out <path>] [--workers LIST]`
 
@@ -256,6 +257,7 @@ fn to_json(sections: &Sections<'_>, quick: bool) -> String {
         s.push_str("      {\n");
         s.push_str(&format!("        \"world\": \"{}\",\n", p.world));
         s.push_str(&format!("        \"image_bytes\": {},\n", p.image_bytes));
+        s.push_str(&format!("        \"image_crc\": {},\n", p.image_crc));
         // Nanosecond resolution, as for `startup`: a machine-image save
         // is in the microseconds.
         s.push_str(&format!("        \"save_secs\": {:.9},\n", p.save_secs));

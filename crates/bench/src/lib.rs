@@ -1165,14 +1165,17 @@ pub fn measure_startup() -> Vec<StartupPoint> {
 /// sections to it): how many bytes the image is and how long a save /
 /// restore takes on the host.
 ///
-/// Image bytes are deterministic per world; only the two latency
-/// columns vary between runs.
+/// Image bytes and CRC are deterministic per world; only the two
+/// latency columns vary between runs.
 #[derive(Debug, Clone)]
 pub struct DurabilityPoint {
     /// World tag: `machine`, `kernel`, `session` or `replica`.
     pub world: &'static str,
     /// Size of the serialized image in bytes.
     pub image_bytes: usize,
+    /// The image's trailing whole-image CRC32: a fingerprint of every
+    /// image byte.
+    pub image_crc: u32,
     /// Host seconds to serialize the world (min over reps).
     pub save_secs: f64,
     /// Host seconds to rebuild the world from the image (min over reps).
@@ -1235,6 +1238,7 @@ pub fn measure_durability() -> Vec<DurabilityPoint> {
     pts.push(DurabilityPoint {
         world: "machine",
         image_bytes: machine_img.len(),
+        image_crc: image_trailer(&machine_img),
         save_secs: min_secs(20, || session.kernel().m.save_image()),
         restore_secs: min_secs(20, || {
             x86sim::Machine::restore_image(&machine_img).expect("machine restore")
@@ -1244,6 +1248,7 @@ pub fn measure_durability() -> Vec<DurabilityPoint> {
     pts.push(DurabilityPoint {
         world: "kernel",
         image_bytes: kernel_img.len(),
+        image_crc: image_trailer(&kernel_img),
         save_secs: min_secs(20, || session.kernel().save_image()),
         restore_secs: min_secs(20, || {
             Kernel::restore_image(&kernel_img).expect("kernel restore")
@@ -1253,6 +1258,7 @@ pub fn measure_durability() -> Vec<DurabilityPoint> {
     pts.push(DurabilityPoint {
         world: "session",
         image_bytes: session_img.len(),
+        image_crc: image_trailer(&session_img),
         save_secs: min_secs(20, || session.checkpoint()),
         restore_secs: min_secs(20, || {
             palladium::Session::restore(&session_img).expect("session restore")
@@ -1262,12 +1268,19 @@ pub fn measure_durability() -> Vec<DurabilityPoint> {
     pts.push(DurabilityPoint {
         world: "replica",
         image_bytes: replica_img.len(),
+        image_crc: image_trailer(&replica_img),
         save_secs: min_secs(20, || replica.checkpoint()),
         restore_secs: min_secs(20, || {
             fleet::Replica::restore(&replica_img).expect("replica restore")
         }),
     });
     pts
+}
+
+/// The trailing whole-image CRC32 of a saved image.
+fn image_trailer(image: &[u8]) -> u32 {
+    let (_, trailer) = image.split_at(image.len() - 4);
+    u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"))
 }
 
 fn drill_point(scenario: &'static str, cfg: &fleet::DrillConfig) -> DrillPoint {
@@ -1481,6 +1494,18 @@ mod tests {
                 w[0].image_bytes
             );
         }
+        // Images are deterministic: size and trailer CRC pin every byte.
+        let fingerprints: Vec<(usize, u32)> =
+            pts.iter().map(|p| (p.image_bytes, p.image_crc)).collect();
+        assert_eq!(
+            fingerprints,
+            [
+                (681_384, 0x623D_0885),
+                (682_993, 0x91A9_5DBF),
+                (683_225, 0xB228_DFCD),
+                (732_903, 0xBE83_A0D1),
+            ]
+        );
         for p in &pts {
             assert!(p.save_secs > 0.0 && p.restore_secs > 0.0);
         }

@@ -247,7 +247,7 @@ pub fn corrupted_image(image: &[u8], r: &mut SeedRng) -> (ImageCorruption, Vec<u
 
 /// Re-emits `image` (of image kind `kind`) through a fresh
 /// [`ImageBuilder`] with the u32 at byte `at` of section `id` replaced by
-/// `u32::MAX`: a hostile writer whose every CRC is valid, so only the
+/// `value`: a hostile writer whose every CRC is valid, so only the
 /// payload decoders stand between the value and the restored world.
 ///
 /// # Panics
@@ -255,14 +255,14 @@ pub fn corrupted_image(image: &[u8], r: &mut SeedRng) -> (ImageCorruption, Vec<u
 /// If `image` does not parse as `kind`, lacks section `id`, or the
 /// section is shorter than `at + 4` bytes — the input must be a pristine
 /// image this generator damages, not already-untrusted bytes.
-pub fn with_hostile_count(image: &[u8], kind: u32, id: u32, at: usize) -> Vec<u8> {
+pub fn with_hostile_word(image: &[u8], kind: u32, id: u32, at: usize, value: u32) -> Vec<u8> {
     let v = ImageView::parse(image, kind).expect("pristine image");
     assert!(v.section(id).is_some(), "section {id:#x} absent");
     let mut b = ImageBuilder::new(kind);
     for &(sid, payload) in v.sections() {
         let mut p = payload.to_vec();
         if sid == id {
-            p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            p[at..at + 4].copy_from_slice(&value.to_le_bytes());
         }
         let mut e = Enc::new();
         e.bytes(&p);
@@ -271,10 +271,13 @@ pub fn with_hostile_count(image: &[u8], kind: u32, id: u32, at: usize) -> Vec<u8
     b.finish()
 }
 
-/// A seeded hostile-writer image: one section of `image` and one
-/// 4-byte-aligned offset in its payload, chosen by `r`, rewritten to
-/// `u32::MAX` by [`with_hostile_count`]. Returns the section id, the
-/// offset and the image.
+/// A seeded hostile-writer image: one section of `image`, one
+/// 4-byte-aligned offset in its payload and one value, chosen by `r`,
+/// rewritten by [`with_hostile_word`]. The value is the largest count
+/// (`u32::MAX`), an empty count or length (0), a sign bit
+/// (`0x8000_0000`), or a length one byte longer than what is left of
+/// the section after the word. Returns the section id, the offset, the
+/// value and the image.
 ///
 /// Deliberately not an [`ImageCorruption`] class: every CRC is valid
 /// and the value may be legal where it lands (a counter, a register), so
@@ -286,7 +289,11 @@ pub fn with_hostile_count(image: &[u8], kind: u32, id: u32, at: usize) -> Vec<u8
 ///
 /// If `image` does not parse as `kind` or has no section of 4 or more
 /// bytes.
-pub fn hostile_writer_image(image: &[u8], kind: u32, r: &mut SeedRng) -> (u32, usize, Vec<u8>) {
+pub fn hostile_writer_image(
+    image: &[u8],
+    kind: u32,
+    r: &mut SeedRng,
+) -> (u32, usize, u32, Vec<u8>) {
     let v = ImageView::parse(image, kind).expect("pristine image");
     let sections: Vec<(u32, usize)> = v
         .sections()
@@ -296,5 +303,7 @@ pub fn hostile_writer_image(image: &[u8], kind: u32, r: &mut SeedRng) -> (u32, u
         .collect();
     let &(id, len) = r.choose(&sections);
     let at = 4 * r.gen_range(0, (len / 4) as u32) as usize;
-    (id, at, with_hostile_count(image, kind, id, at))
+    let overrun = (len - at - 4 + 1) as u32;
+    let value = *r.choose(&[u32::MAX, 0, 0x8000_0000, overrun]);
+    (id, at, value, with_hostile_word(image, kind, id, at, value))
 }

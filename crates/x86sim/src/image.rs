@@ -186,19 +186,35 @@ impl fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// IEEE CRC32 (the PNG/zlib polynomial), table-driven, hand-rolled so the
-/// workspace stays dependency-free.
+/// IEEE CRC32 (the PNG/zlib polynomial), hand-rolled so the workspace
+/// stays dependency-free.
+///
+/// Slicing-by-16: `TABLES[k][b]` is the CRC contribution of byte `b`
+/// followed by `k` zero bytes, so one step folds a 16-byte chunk with
+/// 16 independent lookups instead of 16 dependent ones. The tail goes
+/// bytewise through `TABLES[0]`, the classic table. The output is the
+/// same as the bytewise algorithm's for every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    static TABLES: [[u32; 256]; 16] = crc32_tables();
+    let (chunks, tail) = bytes.as_chunks::<16>();
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    for &chunk in chunks {
+        let mut c = chunk;
+        let head = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        c[..4].copy_from_slice(&head.to_le_bytes());
+        crc = 0;
+        for (table, b) in TABLES.iter().rev().zip(c) {
+            crc ^= table[b as usize];
+        }
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -211,10 +227,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Little-endian byte-stream encoder for section payloads.
@@ -825,12 +851,53 @@ pub fn get_fault(d: &mut Dec<'_>) -> Result<Fault, RestoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seedrng::SeedRng;
+
+    /// The CRC by its definition: eight shift/xor steps per byte, no
+    /// table. [`crc32`] must agree with it on every input.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        SeedRng::new(seed).fill_bytes(&mut buf);
+        buf
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // The standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // The trailer the bytewise CRC gave the sample image: a change to
+        // the CRC's output (or to the image layout) fails here.
+        let img = sample_image();
+        assert_eq!(img.len(), 65);
+        assert_eq!(img[61..], 0x037B_5BF6u32.to_le_bytes());
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference() {
+        // Every length around the 16-byte chunk boundary, at every
+        // alignment: chunk loop, tail, and both together.
+        let buf = seeded_bytes(15, 16 + 64);
+        for start in 0..16 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+        }
+        let big = seeded_bytes(16, 1 << 20);
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
     }
 
     fn sample_image() -> Vec<u8> {
@@ -874,6 +941,39 @@ mod tests {
                     "flip of byte {byte} bit {bit} went undetected"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn bit_flips_in_a_large_section_fail_the_image_crc() {
+        // A 4 KiB section keeps the CRC in its 16-byte chunk loop; the
+        // flips cover every chunk lane, then seeded positions anywhere
+        // past the magic, version and kind (which are typed apart).
+        let mut b = ImageBuilder::new(kind::MACHINE);
+        let mut e = Enc::new();
+        e.u32(7);
+        b.section(1, e);
+        let mut e = Enc::new();
+        e.bytes(&seeded_bytes(4, 4096 + 5));
+        b.section(2, e);
+        let img = b.finish();
+        ImageView::parse(&img, kind::MACHINE).unwrap();
+
+        // Header 16, section 1 (12 + 4), section 2's id and length.
+        let payload = HEADER_LEN + 16 + 8;
+        let mut bits: Vec<usize> = (8 * (payload + 1000)..8 * (payload + 1064)).collect();
+        let mut r = SeedRng::new(4);
+        bits.extend((0..256).map(|_| r.gen_range(8 * 12, 8 * img.len() as u32) as usize));
+        for bit in bits {
+            let mut bad = img.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(
+                ImageView::parse(&bad, kind::MACHINE).unwrap_err(),
+                RestoreError::ImageCrc,
+                "flip of byte {} bit {}",
+                bit / 8,
+                bit % 8
+            );
         }
     }
 

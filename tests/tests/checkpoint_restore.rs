@@ -339,37 +339,50 @@ fn replica_image_carries_the_machine_sections_verbatim() {
 /// an abort (this suite also runs under `ulimit -v` in CI).
 #[test]
 fn hostile_writer_counts_are_typed_errors() {
-    use chaos::corrupt::with_hostile_count;
+    use chaos::corrupt::with_hostile_word;
     let r = warm_replica();
     let truncated = |section| RestoreError::Truncated { section };
 
     // The frame count leads the machine's `frames` section.
     let frames = base::MACHINE + 8;
-    let bad = with_hostile_count(&r.k.m.save_image(), kind::MACHINE, frames, 0);
+    let bad = with_hostile_word(&r.k.m.save_image(), kind::MACHINE, frames, 0, u32::MAX);
     assert_eq!(
         Machine::restore_image(&bad).err(),
         Some(truncated("frames"))
     );
-    let bad = with_hostile_count(&r.checkpoint(), kind::REPLICA, frames, 0);
+    let bad = with_hostile_word(&r.checkpoint(), kind::REPLICA, frames, 0, u32::MAX);
     assert_eq!(Replica::restore(&bad).err(), Some(truncated("frames")));
 
     // The page-directory count leads the kernel's `kva` section.
-    let bad = with_hostile_count(&r.k.save_image(), kind::KERNEL, base::KERNEL + 9, 0);
+    let bad = with_hostile_word(
+        &r.k.save_image(),
+        kind::KERNEL,
+        base::KERNEL + 9,
+        0,
+        u32::MAX,
+    );
     assert_eq!(Kernel::restore_image(&bad).err(), Some(truncated("kva")));
 
     // The violation count follows the replica's id, four u64 and three
     // u32 counters in its `state` section.
-    let bad = with_hostile_count(&r.checkpoint(), kind::REPLICA, base::REPLICA + 4, 48);
+    let bad = with_hostile_word(
+        &r.checkpoint(),
+        kind::REPLICA,
+        base::REPLICA + 4,
+        48,
+        u32::MAX,
+    );
     assert_eq!(
         Replica::restore(&bad).err(),
         Some(truncated("replica.state"))
     );
 }
 
-/// Seeded hostile writers at every layer: a `u32::MAX` at a random
-/// aligned payload offset of a random section, every CRC valid. Such an
-/// image may legitimately restore, but restore must return `Ok` or a
-/// typed error — never panic or abort.
+/// Seeded hostile writers at every layer: a `u32::MAX`, 0, sign-bit or
+/// one-past-the-end length at a random aligned payload offset of a
+/// random section, every CRC valid. Such an image may legitimately
+/// restore, but restore must return `Ok` or a typed error — never panic
+/// or abort.
 #[test]
 fn hostile_writer_images_restore_or_fail_typed_at_every_layer() {
     let (session, double, _) = campaign_world(true);
@@ -398,7 +411,7 @@ fn hostile_writer_images_restore_or_fail_typed_at_every_layer() {
     for (layer, k, img, restore) in layers {
         for seed in 0..64u64 {
             let mut r = SeedRng::new(seed);
-            let (id, at, bad) = chaos::corrupt::hostile_writer_image(img, k, &mut r);
+            let (id, at, value, bad) = chaos::corrupt::hostile_writer_image(img, k, &mut r);
             assert!(
                 ImageView::parse(&bad, k).is_ok(),
                 "{layer} seed {seed}: CRCs must stay valid"
@@ -407,14 +420,22 @@ fn hostile_writer_images_restore_or_fail_typed_at_every_layer() {
             match outcome {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => assert!(!format!("{e}").is_empty()),
-                Err(_) => panic!("{layer} seed {seed}: section {id:#x} offset {at} panicked"),
+                Err(_) => panic!(
+                    "{layer} seed {seed}: {value:#x} at section {id:#x} offset {at} panicked"
+                ),
             }
         }
     }
 
     // An unaligned `cr3` would overflow the page walk when a restored
     // session reinstalls its proof tokens; restore must refuse it.
-    let bad = chaos::corrupt::with_hostile_count(&session_img, kind::SESSION, base::MACHINE + 6, 0);
+    let bad = chaos::corrupt::with_hostile_word(
+        &session_img,
+        kind::SESSION,
+        base::MACHINE + 6,
+        0,
+        u32::MAX,
+    );
     assert!(matches!(
         Session::restore(&bad),
         Err(RestoreError::Malformed { section: "mmu", .. })
