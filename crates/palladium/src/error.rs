@@ -82,6 +82,9 @@ pub enum Error {
     /// A checkpoint image that failed structural or integrity checks
     /// during restore.
     Restore(RestoreError),
+    /// A loader write hit a linear address with no mapped page (the
+    /// address is the start of the write).
+    Unmapped(u32),
     /// A checkpoint was restored under a different isolation backend
     /// than it was taken with (see
     /// [`Session::restore_as`](crate::Session::restore_as)).
@@ -110,6 +113,7 @@ impl core::fmt::Display for Error {
             Error::Sfi(e) => write!(f, "extension rejected by the SFI rewriter: {e}"),
             Error::Bpf(e) => write!(f, "filter rejected by the BPF validator: {e}"),
             Error::Restore(e) => write!(f, "checkpoint restore failed: {e}"),
+            Error::Unmapped(at) => write!(f, "loader write to unmapped address {at:#x}"),
             Error::BackendMismatch { found, expected } => write!(
                 f,
                 "checkpoint was taken under the {found} backend, \
@@ -136,6 +140,7 @@ impl std::error::Error for Error {
             | Error::Closed
             | Error::Supervisor(_)
             | Error::Call(_)
+            | Error::Unmapped(_)
             | Error::BackendMismatch { .. } => None,
         }
     }

@@ -33,6 +33,8 @@ pub enum ProtMemError {
     OutOfMemory,
     /// Access outside the region.
     OutOfBounds,
+    /// A page of the region is not mapped.
+    Unmapped,
 }
 
 impl core::fmt::Display for ProtMemError {
@@ -40,6 +42,7 @@ impl core::fmt::Display for ProtMemError {
         match self {
             ProtMemError::OutOfMemory => write!(f, "out of kernel memory"),
             ProtMemError::OutOfBounds => write!(f, "access outside protected region"),
+            ProtMemError::Unmapped => write!(f, "protected region page not mapped"),
         }
     }
 }
@@ -100,8 +103,11 @@ impl ProtectedMemory {
             return Err(ProtMemError::OutOfBounds);
         }
         self.unseal(k);
-        assert!(k.m.host_write(self.base + off, data));
+        let written = k.m.host_write(self.base + off, data);
         self.seal(k);
+        if !written {
+            return Err(ProtMemError::Unmapped);
+        }
         self.writes += 1;
         // Cost: two PTE passes + shootdowns.
         k.m.charge(2 * k.costs.ppl_mark(self.size / PAGE_SIZE));

@@ -16,6 +16,8 @@ pub enum ShmError {
     OutOfBounds,
     /// The arena is full.
     Full,
+    /// A page of the area is not mapped.
+    Unmapped,
 }
 
 impl core::fmt::Display for ShmError {
@@ -23,6 +25,7 @@ impl core::fmt::Display for ShmError {
         match self {
             ShmError::OutOfBounds => write!(f, "access outside the shared area"),
             ShmError::Full => write!(f, "shared area exhausted"),
+            ShmError::Unmapped => write!(f, "shared area page not mapped"),
         }
     }
 }
@@ -76,15 +79,15 @@ impl SharedArea {
 
     /// Writes a u32 into the arena, returning its address.
     pub fn put_u32(&mut self, k: &mut Kernel, v: u32) -> Result<u32, ShmError> {
-        let addr = self.alloc(4, 4)?;
-        k.m.host_write_u32(addr, v);
-        Ok(addr)
+        self.put_bytes(k, &v.to_le_bytes())
     }
 
     /// Writes bytes into the arena, returning their address.
     pub fn put_bytes(&mut self, k: &mut Kernel, data: &[u8]) -> Result<u32, ShmError> {
         let addr = self.alloc(data.len() as u32, 4)?;
-        assert!(k.m.host_write(addr, data));
+        if !k.m.host_write(addr, data) {
+            return Err(ShmError::Unmapped);
+        }
         Ok(addr)
     }
 

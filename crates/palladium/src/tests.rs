@@ -1303,6 +1303,7 @@ mod backends {
     use crate::error::Error;
     use crate::session::Session;
     use crate::user_ext::DlopenOptions;
+    use x86sim::paging::{pte, update_pte_flags};
 
     /// An extension that stores its argument through itself as a pointer
     /// — the canonical wild write when called with an app-private address.
@@ -1385,6 +1386,52 @@ mod backends {
         // Close unregisters the gate; the audit stays clean.
         assert_eq!(s.kernel().m.key_gate_sites().count(), 0);
         assert!(s.leak_audit().is_empty());
+    }
+
+    #[test]
+    fn failed_dlsym_leaves_no_key_gate_behind() {
+        // Load/resolve/call/close cycles use up the PPL 0 trampoline area
+        // (`dlclose` does not return it), until a `dlsym` cannot place its
+        // Prepare stub. That failure must not leave the Transfer's wrpkru
+        // gate registered.
+        let mut s = Session::with_backend(BackendKind::ProtKeys).unwrap();
+        let module = obj("f:\nmov eax, [esp+4]\nadd eax, 1\nret\n");
+        for cycle in 0..1000 {
+            let h = s.dlopen(&module, &DlopenOptions::new()).unwrap();
+            let f = match s.dlsym(h, "f") {
+                Ok(f) => f,
+                Err(e) => {
+                    assert!(cycle > 100, "failed early, on cycle {cycle}: {e}");
+                    assert!(s.leak_audit().is_empty(), "{:?}", s.leak_audit());
+                    s.dlclose(h).unwrap();
+                    assert!(s.leak_audit().is_empty(), "{:?}", s.leak_audit());
+                    return;
+                }
+            };
+            assert_eq!(s.call(f, cycle).unwrap(), cycle + 1);
+            s.dlclose(h).unwrap();
+        }
+        panic!("the trampoline area never filled up");
+    }
+
+    #[test]
+    fn loader_write_to_an_unmapped_page_is_an_error() {
+        let mut s = Session::with_backend(BackendKind::ProtKeys).unwrap();
+        let h = s
+            .dlopen(&obj("f:\nret\ng:\nret\n"), &DlopenOptions::new())
+            .unwrap();
+        s.dlsym(h, "f").unwrap();
+        let (_, transfer) = s.app().trampoline_addrs(h, "f").unwrap();
+        // Take away the page the next Transfer stub goes to.
+        let k = s.kernel_mut();
+        let cr3 = k.m.mmu.cr3;
+        update_pte_flags(&mut k.m.mem, cr3, transfer, 0, pte::P);
+        k.m.mmu.flush();
+        match s.dlsym(h, "g") {
+            Err(Error::Unmapped(at)) => assert_eq!(at & !0xFFF, transfer & !0xFFF),
+            other => panic!("expected Error::Unmapped, got {other:?}"),
+        }
+        assert!(s.leak_audit().is_empty(), "{:?}", s.leak_audit());
     }
 
     #[test]

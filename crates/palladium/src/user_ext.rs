@@ -269,10 +269,10 @@ impl ExtensibleApp {
         let mut cursor = tramp;
         let write_code = |k: &mut Kernel, code: &[asm86::isa::Insn], cursor: &mut u32| {
             let bytes = encode_program(code);
-            assert!(k.m.host_write(*cursor, &bytes));
+            host_write(k, *cursor, &bytes)?;
             let at = *cursor;
             *cursor += bytes.len() as u32;
-            at
+            Ok::<u32, Error>(at)
         };
 
         // Save slots first (so their addresses are known), 16-byte aligned.
@@ -281,9 +281,9 @@ impl ExtensibleApp {
         cursor += 16;
         let slots = SaveSlots { sp_slot, bp_slot };
 
-        let invoke_stub = write_code(k, &trampoline::invoke_stub(UEXT_DONE_VECTOR), &mut cursor);
-        let fault_stub = write_code(k, &trampoline::fault_stub(UEXT_FAULT_VECTOR), &mut cursor);
-        let callgate_addr = write_code(k, &trampoline::app_callgate(slots), &mut cursor);
+        let invoke_stub = write_code(k, &trampoline::invoke_stub(UEXT_DONE_VECTOR), &mut cursor)?;
+        let fault_stub = write_code(k, &trampoline::fault_stub(UEXT_FAULT_VECTOR), &mut cursor)?;
+        let callgate_addr = write_code(k, &trampoline::app_callgate(slots), &mut cursor)?;
 
         let gate = k.palladium_set_call_gate(callgate_addr);
         if gate < 0 {
@@ -327,7 +327,7 @@ impl ExtensibleApp {
         let image = obj
             .link(base, &BTreeMap::new())
             .map_err(|e| Error::Link(e.to_string()))?;
-        assert!(k.m.host_write(base, &image));
+        host_write(k, base, &image)?;
         // Seal read-only: extensions (and the app) execute but never write.
         k.host_set_page_flags(self.tid, base, pages, 0, pte::RW);
         k.m.charge(DLOPEN_BASE_CYCLES);
@@ -437,8 +437,8 @@ impl ExtensibleApp {
             let got = k.host_mmap(self.tid, 1, true, true, AreaKind::SharedLib)?;
             let plt = k.host_mmap(self.tid, 1, true, true, AreaKind::SharedLib)?;
             let gp = build_got_plt(&imports, got, plt, |name| self.resolve_lib_symbol(name))?;
-            assert!(k.m.host_write(got, &gp.got_bytes));
-            assert!(k.m.host_write(plt, &gp.plt_bytes));
+            host_write(k, got, &gp.got_bytes)?;
+            host_write(k, plt, &gp.plt_bytes)?;
             // Eager resolution done: seal the GOT (and the PLT) read-only.
             k.host_set_page_flags(self.tid, got, 1, 0, pte::RW);
             k.host_set_page_flags(self.tid, plt, 1, 0, pte::RW);
@@ -451,7 +451,7 @@ impl ExtensibleApp {
         let image = obj
             .link(base, &externs)
             .map_err(|e| Error::Link(e.to_string()))?;
-        assert!(k.m.host_write(base, &image));
+        host_write(k, base, &image)?;
 
         // Extension stack: PPL 1, writable. The top dword is the argument
         // slot (initial extension ESP).
@@ -614,7 +614,7 @@ impl ExtensibleApp {
         debug_assert!(base + size <= alloc + alloc_pages * PAGE_SIZE);
         let sb = Sandbox { base, size };
         let (code, map) = sfi_rewrite_image(&image, &sb)?;
-        assert!(k.m.host_write(base, &code));
+        host_write(k, base, &code)?;
         k.m.charge(DLOPEN_BASE_CYCLES);
 
         // Function symbols relocate through the rewrite's offset map;
@@ -796,15 +796,10 @@ impl ExtensibleApp {
         if tramp3_at + tbytes.len() as u32 > self.ext(h)?.tramp3_base + PAGE_SIZE {
             return Err(Error::Spawn(SpawnError::OutOfMemory));
         }
-        assert!(k.m.host_write(tramp3_at, &tbytes));
-        if backend == BackendKind::ProtKeys {
-            // The wrpkru is the Transfer's first instruction and the
-            // ring-3 code segment is flat, so the gate site is the
-            // trampoline address itself.
-            k.m.register_key_gate(tramp3_at);
-        }
 
-        // Prepare at SPL 2 (PPL 0 trampoline region).
+        // Prepare at SPL 2 (PPL 0 trampoline region). Both stubs get their
+        // space before anything is written or registered, so running out
+        // of either leaves no half-resolved symbol behind.
         let prep_code = trampoline::prepare(PrepareParams {
             slots: self.slots,
             arg_slot,
@@ -815,7 +810,15 @@ impl ExtensibleApp {
         });
         let pbytes = encode_program(&prep_code);
         let prep_at = self.tramp_alloc(pbytes.len() as u32)?;
-        assert!(k.m.host_write(prep_at, &pbytes));
+
+        host_write(k, tramp3_at, &tbytes)?;
+        if backend == BackendKind::ProtKeys {
+            // The wrpkru is the Transfer's first instruction and the
+            // ring-3 code segment is flat, so the gate site is the
+            // trampoline address itself.
+            k.m.register_key_gate(tramp3_at);
+        }
+        host_write(k, prep_at, &pbytes)?;
 
         let ext = std::sync::Arc::make_mut(&mut self.exts)
             .get_mut(h.0)
@@ -825,9 +828,10 @@ impl ExtensibleApp {
         Ok(prep_at)
     }
 
-    /// `seg_dlclose`: unmaps nothing physically (frames are not recycled
-    /// in this simulator) but revokes the extension's pages by clearing
-    /// their PTEs' user bit, making any further call fault.
+    /// `seg_dlclose`: revokes the extension's pages by clearing their
+    /// PTEs' user bit (the present bit under [`BackendKind::Sfi`]), making
+    /// any further call fault. It frees no frames and no trampoline
+    /// space: the pages stay allocated to the task.
     pub fn seg_dlclose(&mut self, k: &mut Kernel, h: ExtensionHandle) -> Result<(), Error> {
         k.switch_to(self.tid);
         let (base, pages, backend) = {
@@ -1022,7 +1026,7 @@ impl ExtensibleApp {
         let code = trampoline::service_entry(at, impl_addr);
         let bytes = encode_program(&code);
         debug_assert_eq!(bytes.len() as u32, len);
-        assert!(k.m.host_write(at, &bytes));
+        host_write(k, at, &bytes)?;
         k.switch_to(self.tid);
         let gate = k.palladium_set_call_gate(at);
         if gate < 0 {
@@ -1171,12 +1175,23 @@ impl ExtensibleApp {
         let image = obj
             .link(at, externs)
             .map_err(|e| Error::Link(e.to_string()))?;
-        assert!(k.m.host_write(at, &image));
+        host_write(k, at, &image)?;
         Ok(obj
             .symbols
             .iter()
             .map(|(s, off)| (s.clone(), at + off))
             .collect())
+    }
+}
+
+/// Writes loader output (code, GOT/PLT, stubs) at a linear address of the
+/// current task. A target page that is not mapped is a loader error, so it
+/// is returned as [`Error::Unmapped`] instead of stopping the host.
+fn host_write(k: &mut Kernel, at: u32, bytes: &[u8]) -> Result<(), Error> {
+    if k.m.host_write(at, bytes) {
+        Ok(())
+    } else {
+        Err(Error::Unmapped(at))
     }
 }
 

@@ -135,6 +135,9 @@ impl Machine {
     /// Executes one decoded instruction.
     ///
     /// `len` is its encoded length (to compute the fall-through EIP).
+    /// Inlined into [`Machine::step`] so the run loop
+    /// has no call between fetch and execute.
+    #[inline(always)]
     pub(crate) fn execute(&mut self, insn: Insn, len: u32) -> Result<Option<Exit>, FaultBuilder> {
         let next = self.cpu.eip.wrapping_add(len);
         match insn {

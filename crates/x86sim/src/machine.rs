@@ -228,6 +228,11 @@ pub enum Exit {
 /// writes never bleed into siblings or the template.
 #[derive(Debug, Clone)]
 pub struct Machine {
+    /// The instruction the last [`Machine::fetch`] produced. Fetch writes
+    /// it and `execute` reads it in place, so a decoded instruction is
+    /// not copied through the stack between the two. Host-only state:
+    /// never serialized, and overwritten before every read.
+    fetched: TokenInsn,
     /// CPU registers and segment caches.
     pub cpu: Cpu,
     /// Simulated physical memory.
@@ -407,6 +412,11 @@ impl Machine {
             seg_gen: 0,
             proof_stats: ProofStats::default(),
             key_gates: std::collections::BTreeSet::new(),
+            fetched: TokenInsn {
+                insn: Insn::Nop,
+                len: 0,
+                cost: 0,
+            },
         }
     }
 
@@ -959,6 +969,7 @@ impl Machine {
     /// Translates a data access on the original per-access MMU path (no
     /// memo): the page-straddling paths and the `set_predecode(false)`
     /// baseline use this.
+    #[inline(never)]
     fn translate_data(&mut self, linear: u32, write: bool) -> Result<u32, FaultBuilder> {
         let access = if write { Access::Write } else { Access::Read };
         let user = self.cpu.cpl == 3;
@@ -999,6 +1010,21 @@ impl Machine {
             self.mmu.count_memo_hit();
             return Ok((pp | (linear & PAGE_MASK), slot));
         }
+        self.translate_data_slot_miss(linear, write)
+    }
+
+    /// Memo miss of [`Machine::translate_data_slot`]: walks the MMU and
+    /// refills the memos.
+    #[inline(never)]
+    fn translate_data_slot_miss(
+        &mut self,
+        linear: u32,
+        write: bool,
+    ) -> Result<(u32, u32), FaultBuilder> {
+        let user = self.cpu.cpl == 3;
+        let pkru = self.cpu.pkru;
+        let page = linear & !PAGE_MASK;
+        let epoch = self.mmu.epoch();
         let access = if write { Access::Write } else { Access::Read };
         let t = self
             .mmu
@@ -1151,7 +1177,8 @@ impl Machine {
 
     // ----- instruction fetch ------------------------------------------------
 
-    /// Fetches and decodes the instruction at CS:EIP.
+    /// Fetches and decodes the instruction at CS:EIP into
+    /// `self.fetched`.
     ///
     /// The prefetch window is at most [`MAX_INSN_LEN`] bytes, clipped by
     /// the segment limit; translation happens **per page**, not per byte
@@ -1164,10 +1191,16 @@ impl Machine {
     /// missing bytes. Successful decodes are served from the predecode
     /// cache on subsequent fetches (see [`crate::predecode`]).
     ///
-    /// Returns `(insn, length, base cycle cost)` — the cost is
-    /// [`cycles::measured_cost`], memoized in the predecode cache so a
-    /// hit does not re-derive it.
-    pub fn fetch(&mut self) -> Result<(Insn, u32, u64), FaultBuilder> {
+    /// The fetched record holds the instruction, its length and its base
+    /// cycle cost — [`cycles::measured_cost`], memoized in the predecode
+    /// cache so a hit does not re-derive it.
+    ///
+    /// Only the hit paths are inlined into the run loop: the proof-token
+    /// continuation, the expand-up window, the memoized translation and
+    /// the predecode hit. Misses, the byte-wise baseline and the
+    /// expand-down probe are separate functions.
+    #[inline(always)]
+    fn fetch(&mut self) -> Result<(), FaultBuilder> {
         self.ds_elide_now = false;
         let eip = self.cpu.eip;
         // Hot continuation of an active token run: while the guard
@@ -1178,10 +1211,8 @@ impl Machine {
         // verified, so it is skipped wholesale. This is where the
         // hoisting pays: a served instruction costs a handful of
         // compares. Falls through to the full path on any mismatch.
-        if self.proof_elide && self.proof_run.is_some() {
-            if let Some(hit) = self.proof_fast(eip) {
-                return Ok(hit);
-            }
+        if self.proof_elide && self.proof_run.is_some() && self.proof_fast(eip) {
+            return Ok(());
         }
         let cs = *self.cpu.seg(SegReg::Cs);
         if !cs.valid || !cs.code {
@@ -1203,11 +1234,7 @@ impl Machine {
                 ((cs.limit - eip + 1) as usize).min(MAX_INSN_LEN)
             }
         } else {
-            let mut w = 0usize;
-            while w < MAX_INSN_LEN && cs.check_limit(eip.wrapping_add(w as u32), 1) {
-                w += 1;
-            }
-            w
+            expand_down_window(&cs, eip)
         };
         if window == 0 {
             return Err(Fault::gp(
@@ -1236,10 +1263,8 @@ impl Machine {
         // never spans a second page, and the precomputed cost is the one
         // the normal decode would derive — so cycles, stats and faults
         // are byte-identical to the normal path below.
-        if self.proof_elide {
-            if let Some(hit) = self.proof_serve(phys0, eip, &cs) {
-                return Ok(hit);
-            }
+        if self.proof_elide && self.proof_serve(phys0, eip, &cs) {
+            return Ok(());
         }
         let page_rem = (PAGE_SIZE - (lin0 & PAGE_MASK)) as usize;
         let n_lo = window.min(page_rem);
@@ -1252,10 +1277,25 @@ impl Machine {
             }
         }
 
-        if let Some(hit) = self.icache.lookup(&self.mem, phys0, window, hi_page) {
-            return Ok(hit);
+        if let Some((insn, len, cost)) = self.icache.lookup(&self.mem, phys0, window, hi_page) {
+            self.fetched = TokenInsn { insn, len, cost };
+            return Ok(());
         }
+        self.fetch_decode(phys0, window, n_lo, hi_page, pending)
+    }
 
+    /// Predecode miss: copies the window's bytes (`n_lo` of them from the
+    /// first page, the rest from `hi_page`), decodes them and caches the
+    /// result. `pending` is the deferred second-page fault.
+    #[inline(never)]
+    fn fetch_decode(
+        &mut self,
+        phys0: u32,
+        window: usize,
+        n_lo: usize,
+        hi_page: Option<u32>,
+        pending: Option<FaultBuilder>,
+    ) -> Result<(), FaultBuilder> {
         let mut buf = [0u8; MAX_INSN_LEN];
         copy_page_bytes(&self.mem, phys0, &mut buf[..n_lo]);
         let mut n = n_lo;
@@ -1267,7 +1307,12 @@ impl Machine {
             Ok((insn, len)) => {
                 self.icache
                     .insert(&mut self.mem, phys0, insn, len as u32, hi_page);
-                Ok((insn, len as u32, cycles::measured_cost(&insn)))
+                self.fetched = TokenInsn {
+                    insn,
+                    len: len as u32,
+                    cost: cycles::measured_cost(&insn),
+                };
+                Ok(())
             }
             Err(DecodeError::Truncated) if pending.is_some() => Err(pending.unwrap()),
             Err(_) => Err(Fault::ud(FaultCause::BadInstruction)),
@@ -1280,12 +1325,13 @@ impl Machine {
     /// a translation and a physical read *per prefetched byte* — with
     /// semantics identical to the per-page path, including the deferred
     /// page-boundary fault.
+    #[inline(never)]
     fn fetch_bytewise(
         &mut self,
         cs: &SegCache,
         eip: u32,
         window: usize,
-    ) -> Result<(Insn, u32, u64), FaultBuilder> {
+    ) -> Result<(), FaultBuilder> {
         let mut buf = [0u8; MAX_INSN_LEN];
         let mut n = 0usize;
         let mut pending: Option<FaultBuilder> = None;
@@ -1308,7 +1354,14 @@ impl Machine {
             return Err(pending.expect("window > 0, so the loop ran"));
         }
         match decode(&buf[..n]) {
-            Ok((insn, len)) => Ok((insn, len as u32, cycles::measured_cost(&insn))),
+            Ok((insn, len)) => {
+                self.fetched = TokenInsn {
+                    insn,
+                    len: len as u32,
+                    cost: cycles::measured_cost(&insn),
+                };
+                Ok(())
+            }
             Err(DecodeError::Truncated) if pending.is_some() => Err(pending.unwrap()),
             Err(_) => Err(Fault::ud(FaultCause::BadInstruction)),
         }
@@ -1317,8 +1370,9 @@ impl Machine {
     /// Tries to serve the fetch at `eip` (translated to `phys0`) from a
     /// proof token: either the active run's next instruction, or the
     /// first instruction of a token starting at `phys0` whose entry
-    /// guard holds. `None` falls through to the normal fetch path.
-    fn proof_serve(&mut self, phys0: u32, eip: u32, cs: &SegCache) -> Option<(Insn, u32, u64)> {
+    /// guard holds, into `self.fetched`. `false` falls through to the
+    /// normal fetch path.
+    fn proof_serve(&mut self, phys0: u32, eip: u32, cs: &SegCache) -> bool {
         if let Some(run) = &self.proof_run {
             if run.idx == run.count {
                 // Ran its block to completion (and the hot re-arm did
@@ -1347,7 +1401,10 @@ impl Machine {
             }
         }
         // Not inside a run: attempt activation at a block boundary.
-        let token = Arc::clone(self.proof_tokens.get(&phys0)?);
+        let Some(token) = self.proof_tokens.get(&phys0) else {
+            return false;
+        };
+        let token = Arc::clone(token);
         debug_assert_eq!(token.start_phys, phys0);
         // Entry guard, hoisted over the whole block:
         // - the block's last byte is inside the (expand-up) CS limit, so
@@ -1359,7 +1416,7 @@ impl Machine {
             || eip.checked_add(token.len - 1).is_none_or(|e| e > cs.limit)
             || self.mem.slot_code_generation(token.slot) != token.gen
         {
-            return None;
+            return false;
         }
         let ds = *self.cpu.seg(SegReg::Ds);
         let ds_elide = token.ds.is_some_and(|p| {
@@ -1407,8 +1464,10 @@ impl Machine {
     /// would have been (`Mmu::count_memo_hit`), so the serialized TLB
     /// statistics stay byte-identical to unelided dispatch.
     #[inline(always)]
-    fn proof_fast(&mut self, eip: u32) -> Option<(Insn, u32, u64)> {
-        let run = self.proof_run.as_ref()?;
+    fn proof_fast(&mut self, eip: u32) -> bool {
+        let Some(run) = self.proof_run.as_ref() else {
+            return false;
+        };
         let done = run.idx == run.count;
         let expect = if done { run.start_eip } else { run.expect_eip };
         if eip != expect
@@ -1418,7 +1477,7 @@ impl Machine {
             || self.mmu.epoch() != run.epoch
             || self.mem.code_epoch() != run.code_epoch
         {
-            return None;
+            return false;
         }
         self.mmu.count_memo_hit();
         if done {
@@ -1433,20 +1492,24 @@ impl Machine {
         self.proof_advance()
     }
 
-    /// Serves the active run's next instruction and advances it. A run
+    /// Serves the active run's next instruction into `self.fetched` and
+    /// advances the run. A run
     /// that reaches block end is kept (`idx == insns.len()`) so the hot
     /// path can re-arm it across a loop back edge; it is retired by the
     /// next full-path fetch that does not re-arm it.
     #[inline(always)]
-    fn proof_advance(&mut self) -> Option<(Insn, u32, u64)> {
-        let run = self.proof_run.as_mut()?;
+    fn proof_advance(&mut self) -> bool {
+        let Some(run) = self.proof_run.as_mut() else {
+            return false;
+        };
         let t = run.token.insns[run.idx];
+        self.fetched = t;
         self.ds_elide_now = run.ds_elide;
         run.idx += 1;
         run.expect_eip = run.expect_eip.wrapping_add(t.len);
         run.expect_phys += t.len;
         self.proof_stats.served += 1;
-        Some((t.insn, t.len, t.cost))
+        true
     }
 
     /// Fetch-path translation through the fetch-page memo (fast path
@@ -1476,6 +1539,7 @@ impl Machine {
         Ok(phys)
     }
 
+    #[inline(never)]
     fn translate_fetch(&mut self, linear: u32) -> Result<u32, FaultBuilder> {
         let user = self.cpu.cpl == 3;
         let t = self
@@ -1490,74 +1554,96 @@ impl Machine {
     // ----- execution loop ---------------------------------------------------
 
     /// Executes one instruction. `None` means "keep going".
+    ///
+    /// This is the single-instruction primitive; the run loop inlines it,
+    /// so fetch and execute hit paths compile into one loop body while
+    /// fault delivery and trace capture stay out of line.
+    #[inline(always)]
     pub fn step(&mut self) -> Option<Exit> {
         let saved_eip = self.cpu.eip;
         let cs_sel = self.cpu.seg(SegReg::Cs).selector.0;
         let cpl = self.cpu.cpl;
-        match self.step_inner() {
-            Ok(exit) => exit,
-            Err(fb) => {
-                // Deliver the exception: restore the faulting EIP
-                // (instructions are restartable) and exit to the host
-                // kernel, charging the vectoring cost.
-                self.cpu.eip = saved_eip;
-                self.charge_event(Event::ExceptionDelivery);
-                Some(Exit::Fault(fb.at(saved_eip, cs_sel, cpl)))
-            }
+        if let Err(fb) = self.fetch() {
+            return Some(self.deliver_fault(fb, saved_eip, cs_sel, cpl));
         }
-    }
-
-    fn step_inner(&mut self) -> Result<Option<Exit>, FaultBuilder> {
-        let (insn, len, cost) = self.fetch()?;
+        let (len, cost) = (self.fetched.len, self.fetched.cost);
         self.insns += 1;
         self.cycles += cost;
         // Attribute the instruction to the domain it *executed in* (far
-        // transfers change CPL as a side effect), so capture the state
-        // before `execute` — but only when a trace is live.
-        let pre = self.trace.is_some().then(|| {
-            (
-                self.cpu.eip,
-                self.cpu.segs[SegReg::Cs as usize].selector.0,
-                self.cpu.cpl,
-            )
-        });
-        let r = self.execute(insn, len);
-        if let Some((eip, cs, cpl)) = pre {
-            if let Some(t) = self.trace.as_mut() {
-                t.push(TraceRecord {
-                    cs,
-                    cpl,
-                    eip,
-                    insn,
-                    cycles: self.cycles,
-                });
+        // transfers change CPL as a side effect), so record the state
+        // read before `execute` — but only when a trace is live.
+        let traced = self.trace.is_some();
+        let r = self.execute(self.fetched.insn, len);
+        if traced {
+            self.record_trace(self.fetched.insn, saved_eip, cs_sel, cpl);
+        }
+        match r {
+            Ok(exit) => exit,
+            Err(fb) => Some(self.deliver_fault(fb, saved_eip, cs_sel, cpl)),
+        }
+    }
+
+    /// Delivers an exception: restores the faulting EIP (instructions
+    /// are restartable) and exits to the host kernel, charging the
+    /// vectoring cost.
+    #[cold]
+    #[inline(never)]
+    fn deliver_fault(&mut self, fb: FaultBuilder, eip: u32, cs: u16, cpl: u8) -> Exit {
+        self.cpu.eip = eip;
+        self.charge_event(Event::ExceptionDelivery);
+        Exit::Fault(fb.at(eip, cs, cpl))
+    }
+
+    /// Appends a retired instruction to the live trace.
+    #[cold]
+    #[inline(never)]
+    fn record_trace(&mut self, insn: Insn, eip: u32, cs: u16, cpl: u8) {
+        let cycles = self.cycles;
+        if let Some(t) = self.trace.as_mut() {
+            t.push(TraceRecord {
+                cs,
+                cpl,
+                eip,
+                insn,
+                cycles,
+            });
+        }
+    }
+
+    /// The one interpreter loop behind [`Machine::run`],
+    /// [`Machine::run_to`] and [`Machine::run_until_cycles`]. Before each
+    /// instruction it stops on, in order: `max_insns` retired
+    /// ([`Exit::InsnLimit`]), the cycle counter at or past `deadline`
+    /// ([`Exit::CycleLimit`]), EIP at `breakpoint` (`None`).
+    fn run_loop(&mut self, max_insns: u64, deadline: u64, breakpoint: Option<u32>) -> Option<Exit> {
+        let mut left = max_insns;
+        loop {
+            if left == 0 {
+                return Some(Exit::InsnLimit);
+            }
+            if self.cycles >= deadline {
+                return Some(Exit::CycleLimit);
+            }
+            if breakpoint == Some(self.cpu.eip) {
+                return None;
+            }
+            left -= 1;
+            if let Some(exit) = self.step() {
+                return Some(exit);
             }
         }
-        r
     }
 
     /// Runs until an exit or until `max_insns` instructions retire.
     pub fn run(&mut self, max_insns: u64) -> Exit {
-        for _ in 0..max_insns {
-            if let Some(exit) = self.step() {
-                return exit;
-            }
-        }
-        Exit::InsnLimit
+        self.run_loop(max_insns, u64::MAX, None)
+            .expect("only a breakpoint stop returns None")
     }
 
     /// Runs until EIP reaches `breakpoint` (before executing it), an exit
     /// occurs, or `max_insns` retire — the `segdb` breakpoint primitive.
     pub fn run_to(&mut self, breakpoint: u32, max_insns: u64) -> Option<Exit> {
-        for _ in 0..max_insns {
-            if self.cpu.eip == breakpoint {
-                return None;
-            }
-            if let Some(exit) = self.step() {
-                return Some(exit);
-            }
-        }
-        Some(Exit::InsnLimit)
+        self.run_loop(max_insns, u64::MAX, Some(breakpoint))
     }
 
     /// Runs until an exit or until the cycle counter passes `deadline`.
@@ -1565,14 +1651,8 @@ impl Machine {
     /// This is the primitive behind the paper's extension CPU-time limit:
     /// the kernel's timer interrupt is modelled as a deadline check.
     pub fn run_until_cycles(&mut self, deadline: u64) -> Exit {
-        loop {
-            if self.cycles >= deadline {
-                return Exit::CycleLimit;
-            }
-            if let Some(exit) = self.step() {
-                return exit;
-            }
-        }
+        self.run_loop(u64::MAX, deadline, None)
+            .expect("only a breakpoint stop returns None")
     }
 
     /// Enables execution tracing, retaining the last `capacity` retired
@@ -1704,6 +1784,17 @@ impl Machine {
             Descriptor::Gate(g) => g.present,
         })
     }
+}
+
+/// The prefetch window of a (force-loaded) expand-down code segment,
+/// probed byte by byte.
+#[inline(never)]
+fn expand_down_window(cs: &SegCache, eip: u32) -> usize {
+    let mut w = 0usize;
+    while w < MAX_INSN_LEN && cs.check_limit(eip.wrapping_add(w as u32), 1) {
+        w += 1;
+    }
+    w
 }
 
 /// Copies `out.len()` bytes starting at physical `phys` out of a single

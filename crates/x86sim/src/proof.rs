@@ -45,8 +45,9 @@ use asm86::isa::Insn;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One predecoded instruction of a token block: everything `fetch`
-/// returns, precomputed.
+/// One decoded instruction with its length and base cycle cost: what
+/// `fetch` leaves in the machine for `execute`, and, precomputed, each
+/// instruction of a token block.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TokenInsn {
     pub(crate) insn: Insn,

@@ -1910,3 +1910,258 @@ mod protection_keys {
         assert_eq!(back.cpu.pkru, 0xC);
     }
 }
+
+mod run_loop {
+    //! `run`, `run_to` and `run_until_cycles` share one interpreter loop;
+    //! each must stop exactly where a plain `step()` loop applying the
+    //! same stop rule stops, with the same machine state.
+
+    use super::*;
+    use crate::machine::Flags;
+    use crate::paging::TlbStats;
+    use crate::predecode::PredecodeStats;
+    use crate::proof::{ProofDs, ProofStats};
+
+    /// The reference loop: before each instruction stop on the budget,
+    /// then the deadline, then the breakpoint.
+    fn stepped(m: &mut Machine, max_insns: u64, deadline: u64, bp: Option<u32>) -> Option<Exit> {
+        let mut left = max_insns;
+        loop {
+            if left == 0 {
+                return Some(Exit::InsnLimit);
+            }
+            if m.cycles() >= deadline {
+                return Some(Exit::CycleLimit);
+            }
+            if bp == Some(m.cpu.eip) {
+                return None;
+            }
+            left -= 1;
+            if let Some(exit) = m.step() {
+                return Some(exit);
+            }
+        }
+    }
+
+    type Observed = (
+        Option<Exit>,
+        u32,
+        [u32; 8],
+        Flags,
+        u64,
+        u64,
+        TlbStats,
+        PredecodeStats,
+        ProofStats,
+        Vec<u8>,
+    );
+
+    fn observe(exit: Option<Exit>, m: &Machine) -> Observed {
+        (
+            exit,
+            m.cpu.eip,
+            m.cpu.regs,
+            m.cpu.flags,
+            m.cycles(),
+            m.insns(),
+            m.mmu.stats,
+            m.predecode_stats(),
+            m.proof_stats(),
+            m.save_image(),
+        )
+    }
+
+    /// Ring-0 flat segments over identity-mapped pages: code at 0x1000,
+    /// data at 0x2000 and 0x3000 (0x4000 unmapped), stack below 0x8000.
+    fn paged_machine(src: &str) -> Machine {
+        let mut m = Machine::new();
+        let code = m.gdt.push(Descriptor::flat_code(0));
+        let data = m.gdt.push(Descriptor::flat_data(0));
+        let mut fa = crate::mem::FrameAlloc::new(0x10_0000, 0x20_0000);
+        let cr3 = fa.alloc().unwrap();
+        for page in [0x1000, 0x2000, 0x3000, 0x7000] {
+            map_page(&mut m.mem, &mut fa, cr3, page, page, pte::RW);
+        }
+        m.mmu.set_cr3(cr3);
+        m.mmu.enabled = true;
+        let obj = Assembler::assemble(src).expect("asm");
+        let image = obj.link(0x1000, &BTreeMap::new()).expect("link");
+        m.mem.write_bytes(0x1000, &image);
+        m.force_seg_from_table(SegReg::Cs, Selector::new(code, false, 0));
+        m.force_seg_from_table(SegReg::Ss, Selector::new(data, false, 0));
+        m.force_seg_from_table(SegReg::Ds, Selector::new(data, false, 0));
+        m.cpu.eip = 0x1000;
+        m.cpu.set_reg(Reg::Esp, 0x8000);
+        m
+    }
+
+    /// Linear addresses of the program's instructions, up to its `hlt`.
+    fn insn_addrs(m: &Machine) -> Vec<u32> {
+        let bytes = m.host_read(0x1000, 256);
+        let mut at = 0usize;
+        let mut out = Vec::new();
+        loop {
+            let (insn, len) = asm86::decode(&bytes[at..]).expect("decodable program");
+            out.push(0x1000 + at as u32);
+            if matches!(insn, asm86::isa::Insn::Hlt) {
+                return out;
+            }
+            at += len;
+        }
+    }
+
+    /// Assembles `src` on a paged machine and installs a proof token over
+    /// instructions `first..end` (indices into [`insn_addrs`]).
+    fn with_token(src: &str, first: usize, end: usize, ds: Option<ProofDs>) -> Machine {
+        let mut m = paged_machine(src);
+        let a = insn_addrs(&m);
+        m.install_proof_token(a[first], a[end] - a[first], ds)
+            .expect("token installs");
+        m
+    }
+
+    const DS_ANY: Option<ProofDs> = Some(ProofDs {
+        hi: 0x3FFF,
+        loads: true,
+        stores: true,
+    });
+
+    /// Compares every loop entry point against [`stepped`] on forks of
+    /// `template`, over every budget, deadline and breakpoint the
+    /// program's own run makes interesting.
+    fn check(name: &str, template: &Machine) {
+        let snap = template.snapshot();
+        let mut full = snap.fork();
+        let end = stepped(&mut full, 10_000, u64::MAX, None);
+        assert!(
+            !matches!(end, Some(Exit::InsnLimit)),
+            "{name}: the program ends on its own"
+        );
+        let (total_insns, total_cycles) = (full.insns(), full.cycles());
+        let addrs = insn_addrs(template);
+
+        for n in 0..=total_insns + 1 {
+            let (mut a, mut b) = (snap.fork(), snap.fork());
+            let got = observe(Some(a.run(n)), &a);
+            let want = observe(stepped(&mut b, n, u64::MAX, None), &b);
+            assert_eq!(got, want, "{name}: run({n})");
+        }
+        for d in 0..=total_cycles + 1 {
+            let (mut a, mut b) = (snap.fork(), snap.fork());
+            let got = observe(Some(a.run_until_cycles(d)), &a);
+            let want = observe(stepped(&mut b, u64::MAX, d, None), &b);
+            assert_eq!(got, want, "{name}: run_until_cycles({d})");
+        }
+        for &bp in &addrs {
+            for n in [0, 1, 2, 3, 5, 8, 13, 21, total_insns, total_insns + 1] {
+                let (mut a, mut b) = (snap.fork(), snap.fork());
+                let got = observe(a.run_to(bp, n), &a);
+                let want = observe(stepped(&mut b, n, u64::MAX, Some(bp)), &b);
+                assert_eq!(got, want, "{name}: run_to({bp:#x}, {n})");
+            }
+            // Resuming from a breakpoint steps off it: chain run_to calls
+            // (one step past each stop) through the whole program.
+            let (mut a, mut b) = (snap.fork(), snap.fork());
+            loop {
+                let got = observe(a.run_to(bp, 10_000), &a);
+                let want = observe(stepped(&mut b, 10_000, u64::MAX, Some(bp)), &b);
+                assert_eq!(got, want, "{name}: chained run_to({bp:#x})");
+                if got.0.is_some() {
+                    break;
+                }
+                let off = a.step();
+                assert_eq!(off, b.step(), "{name}: step off {bp:#x}");
+                if off.is_some() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn loop_in_a_proof_token_block() {
+        let src = "mov ecx, 0\n\
+                   top:\n\
+                   add ecx, 1\n\
+                   mov [0x2000], ecx\n\
+                   cmp ecx, 12\n\
+                   jne top\n\
+                   hlt\n";
+        let m = with_token(src, 1, 5, DS_ANY);
+        check("token loop", &m);
+        check("flat loop", &flat_machine(src));
+    }
+
+    #[test]
+    fn fault_in_the_middle_of_a_block() {
+        // Stores walk up through the mapped data pages into the unmapped
+        // one at 0x4000: the #PF hits the second instruction of the block.
+        let src = "mov ebx, 0x2000\n\
+                   top:\n\
+                   add ebx, 0x400\n\
+                   mov [ebx], ecx\n\
+                   add ecx, 1\n\
+                   jmp top\n\
+                   hlt\n";
+        let m = with_token(src, 1, 5, DS_ANY);
+        check("fault mid-block", &m);
+    }
+
+    #[test]
+    fn store_into_the_next_instruction() {
+        let enc5 = enc("add eax, 5\n");
+        let enc9 = enc("add eax, 9\n");
+        let w = enc5.iter().zip(&enc9).position(|(a, b)| a != b).unwrap();
+        let patch = u32::from_le_bytes(enc9[w..w + 4].try_into().unwrap());
+        let src = |at: u32| {
+            format!(
+                "mov ebx, 0x{patch:08X}\n\
+                 mov [0x{at:08X}], ebx\n\
+                 add eax, 5\n\
+                 add eax, 5\n\
+                 hlt\n"
+            )
+        };
+        // Every operand is fixed-width, so the probe's layout is final.
+        let probe = paged_machine(&src(0x9999_9999));
+        let next = insn_addrs(&probe)[2];
+        let m = with_token(&src(next + w as u32), 0, 4, None);
+        let mut run = m.fork();
+        assert_eq!(run.run(100), Exit::Hlt);
+        assert_eq!(run.cpu.reg(Reg::Eax), 14, "the patched add ran");
+        check("store into next insn", &m);
+    }
+
+    #[test]
+    fn hlt_alone() {
+        check("hlt", &flat_machine("hlt\n"));
+        check("token hlt", &with_token("nop\nhlt\n", 0, 1, None));
+    }
+
+    #[test]
+    fn budget_is_checked_before_the_breakpoint() {
+        let mut m = flat_machine(
+            "mov eax, 1\n\
+             mov eax, 2\n\
+             mov eax, 3\n\
+             hlt\n",
+        );
+        let bp = insn_addrs(&m)[2];
+        assert_eq!(m.run_to(bp, 2), Some(Exit::InsnLimit));
+        assert_eq!((m.cpu.eip, m.insns()), (bp, 2));
+        assert_eq!(m.run_to(bp, 5), None, "already at the breakpoint");
+        assert_eq!(m.insns(), 2);
+    }
+
+    #[test]
+    fn a_past_deadline_executes_nothing() {
+        let mut m = flat_machine("mov eax, 1\nhlt\n");
+        assert_eq!(m.run_until_cycles(0), Exit::CycleLimit);
+        assert_eq!((m.insns(), m.cycles()), (0, 0));
+        assert!(m.step().is_none());
+        let c = m.cycles();
+        assert_eq!(m.run_until_cycles(c), Exit::CycleLimit);
+        assert_eq!(m.run_until_cycles(c - 1), Exit::CycleLimit);
+        assert_eq!((m.insns(), m.cycles()), (1, c));
+    }
+}
