@@ -814,9 +814,13 @@ pub fn measure_sim_throughput_with(
 
 /// Measures the host-throughput benchmark; `scale` multiplies the
 /// iteration counts (1 = the CI `--quick` run).
+///
+/// A webserver request runs only ~22 guest instructions, so that row
+/// takes 2,000 requests per unit of scale: each batch then lasts tens of
+/// milliseconds rather than a few, long enough to resolve a change.
 pub fn measure_sim_throughput(scale: u32) -> Vec<ThroughputPoint> {
     let s = scale.max(1);
-    measure_sim_throughput_with(1_000 * s, 400 * s, 200 * s, 2_000 * s)
+    measure_sim_throughput_with(1_000 * s, 400 * s, 2_000 * s, 2_000 * s)
 }
 
 // ----- fleet rollout (the "fleet" section of the same JSON) ----------------

@@ -221,9 +221,10 @@ pub enum Exit {
 /// The machine.
 ///
 /// `Clone` is the world snapshot/fork primitive (see
-/// [`Machine::snapshot`] / [`Machine::fork`]): physical frame payloads
-/// are shared copy-on-write, everything else — CPU, tables, TLB,
-/// predecode cache, translation memos, counters — is copied, so a fork
+/// [`Machine::snapshot`] / [`Machine::fork`]): physical frame payloads,
+/// the predecode cache and the translation tables are shared
+/// copy-on-write, everything else — CPU, descriptor tables, TLB,
+/// counters — is copied, so a fork
 /// resumes byte-identically to the world it was taken from and its
 /// writes never bleed into siblings or the template.
 #[derive(Debug, Clone)]
@@ -252,12 +253,14 @@ pub struct Machine {
     trace: Option<Trace>,
     icache: InsnCache,
     predecode: bool,
-    /// One-entry translation memos: the last code page fetched and the
-    /// last data pages read and written, each valid while the TLB epoch
-    /// and privilege are unchanged (see [`PageMemo`]).
-    fetch_memo: PageMemo,
-    data_read_memo: PageMemo,
-    data_write_memo: PageMemo,
+    /// Direct-mapped translation tables for code fetches, data reads
+    /// and data writes; each entry stays valid while the TLB epoch,
+    /// privilege and PKRU are unchanged (see [`PageMemo`]).
+    tables: Arc<Tables>,
+    /// Host-only count of lookups that missed the tables and walked the
+    /// MMU (reported in [`PredecodeStats::translation_misses`]). Never
+    /// serialized; a restored world starts at zero.
+    memo_misses: u64,
     /// Installed proof tokens, keyed by physical block start. Shared
     /// copy-on-write across forks like the predecode slot array.
     proof_tokens: crate::proof::TokenMap,
@@ -291,27 +294,32 @@ pub struct Machine {
 /// Sentinel slab slot for "frame not backed when the memo was filled".
 const NO_SLOT: u32 = u32::MAX;
 
-/// A one-entry memo of a page translation, standing in for a guaranteed
-/// TLB hit.
+/// One cached page translation, standing in for a guaranteed TLB hit.
 ///
-/// Re-translating the same linear page at the same privilege and access
-/// kind is a pure TLB hit with no architectural side effect: the TLB
-/// never evicts on its own, a hit checks the *cached* permission bits
+/// Re-translating the same linear page at the same privilege, PKRU and
+/// access kind is a pure TLB hit with no architectural side effect: the
+/// TLB never evicts on its own, a hit checks the *cached* permission bits
 /// (which are frozen until a flush), and the dirty-bit update happens at
 /// most once per entry — any successful write-translate leaves the entry
-/// dirty, so later writes through the same entry do no PTE work. The memo
+/// dirty, so later writes through the same entry do no PTE work. A memo
 /// therefore answers without consulting the MMU, revalidating against
 /// [`Mmu::epoch`], which advances on every flush — the only way a live
 /// TLB entry disappears or changes. Cycle accounting is unaffected
 /// because TLB hits charge nothing; TLB statistics are unaffected because
 /// memo hits are counted via [`Mmu::count_memo_hit`].
 ///
-/// The memo also carries the frame's slab slot ([`NO_SLOT`] if the frame
+/// The argument holds for each entry on its own, so the machine keeps
+/// memos in direct-mapped [`MemoTable`]s rather than one at a time: any
+/// number of entries filled under the current epoch all stand for TLB
+/// entries that are still live, and a table conflict only costs one
+/// more MMU walk, never a different answer.
+///
+/// A memo also carries the frame's slab slot ([`NO_SLOT`] if the frame
 /// was unbacked at fill time) so repeat accesses read physical memory
 /// with one array index instead of a hash lookup. Slots are stable for a
 /// frame's whole lifetime, so the slot needs no revalidation of its own.
 ///
-/// The memos are part of the host fast path gated by
+/// The tables are part of the host fast path gated by
 /// [`Machine::set_predecode`]: with predecode off every translation takes
 /// the original per-access MMU path, reproducing the pre-fast-path cost
 /// structure that the throughput benchmark uses as its baseline.
@@ -358,6 +366,54 @@ impl PageMemo {
     }
 }
 
+/// Entries per translation table (a power of two). A typical guest
+/// working set — its stack page plus a handful of data pages, at one or
+/// two privilege levels — fits without conflicts.
+pub(crate) const MEMO_ENTRIES: usize = 64;
+
+/// A direct-mapped table of [`PageMemo`]s, indexed by the low bits of
+/// the linear page number with the CPL `user` bit folded into the top
+/// index bit, so one page touched at CPL 3 and at CPL 0-2 keeps both
+/// entries. Lookups and fills are [`PageMemo::lookup`] and
+/// [`PageMemo::fill`] on the indexed entry; the epoch invalidates every
+/// entry at once.
+#[derive(Debug, Clone)]
+struct MemoTable([PageMemo; MEMO_ENTRIES]);
+
+impl MemoTable {
+    const EMPTY: MemoTable = MemoTable([PageMemo::INVALID; MEMO_ENTRIES]);
+
+    /// The top index bit, which the CPL `user` bit flips.
+    const USER_BIT: u32 = MEMO_ENTRIES as u32 / 2;
+
+    /// Table index of linear page base `page` at privilege `user`.
+    #[inline]
+    fn index(page: u32, user: bool) -> usize {
+        let flip = if user { Self::USER_BIT } else { 0 };
+        ((page >> 12) ^ flip) as usize & (MEMO_ENTRIES - 1)
+    }
+
+    #[inline]
+    fn lookup(&self, page: u32, user: bool, pkru: u32, epoch: u64) -> Option<(u32, u32)> {
+        self.0[Self::index(page, user)].lookup(page, user, pkru, epoch)
+    }
+
+    #[inline]
+    fn fill(&mut self, page: u32, phys_page: u32, slot: u32, user: bool, pkru: u32, epoch: u64) {
+        self.0[Self::index(page, user)].fill(page, phys_page, slot, user, pkru, epoch);
+    }
+}
+
+/// The machine's three translation tables. They sit behind one `Arc`
+/// so a fork shares them copy-on-write: forking stays a refcount bump,
+/// and a world copies the tables on its first fill after a fork.
+#[derive(Debug, Clone)]
+struct Tables {
+    fetch: MemoTable,
+    read: MemoTable,
+    write: MemoTable,
+}
+
 impl Default for Machine {
     fn default() -> Machine {
         Machine::new()
@@ -402,9 +458,12 @@ impl Machine {
             trace: None,
             icache: InsnCache::new(),
             predecode: true,
-            fetch_memo: PageMemo::INVALID,
-            data_read_memo: PageMemo::INVALID,
-            data_write_memo: PageMemo::INVALID,
+            tables: Arc::new(Tables {
+                fetch: MemoTable::EMPTY,
+                read: MemoTable::EMPTY,
+                write: MemoTable::EMPTY,
+            }),
+            memo_misses: 0,
             proof_tokens: crate::proof::TokenMap::default(),
             proof_run: None,
             proof_elide: true,
@@ -460,7 +519,7 @@ impl Machine {
     ///
     /// Frame payloads are shared copy-on-write and materialize
     /// privately on first write in either world. The predecode cache
-    /// and translation memos carry over — they key on physical
+    /// and translation tables carry over — they key on physical
     /// addresses and slab slots, both preserved by the fork, and are
     /// invalidated per-frame by the same store/code generations as
     /// always — so a forked world is cycle/stat/fault byte-identical
@@ -652,9 +711,13 @@ impl Machine {
         }
     }
 
-    /// Host-side hit/miss counters of the predecode cache.
+    /// Host-side counters of the predecode fast path: predecode cache
+    /// hits and misses, and translation-table misses.
     pub fn predecode_stats(&self) -> PredecodeStats {
-        self.icache.stats()
+        PredecodeStats {
+            translation_misses: self.memo_misses,
+            ..self.icache.stats()
+        }
     }
 
     // ----- proof tokens ------------------------------------------------------
@@ -967,7 +1030,7 @@ impl Machine {
     }
 
     /// Translates a data access on the original per-access MMU path (no
-    /// memo): the page-straddling paths and the `set_predecode(false)`
+    /// translation table): the page-straddling paths and the `set_predecode(false)`
     /// baseline use this.
     #[inline(never)]
     fn translate_data(&mut self, linear: u32, write: bool) -> Result<u32, FaultBuilder> {
@@ -983,7 +1046,7 @@ impl Machine {
     }
 
     /// Translates a within-page data access, answering repeat same-page
-    /// accesses from the read/write memos and returning the frame's slab
+    /// accesses from the read/write tables and returning the frame's slab
     /// slot ([`NO_SLOT`] when unbacked) for slot-direct physical access.
     /// See [`PageMemo`] for the soundness argument. Gated on the
     /// predecode flag so the benchmark baseline keeps the pre-fast-path
@@ -1001,26 +1064,27 @@ impl Machine {
         let pkru = self.cpu.pkru;
         let page = linear & !PAGE_MASK;
         let epoch = self.mmu.epoch();
-        let memo = if write {
-            &self.data_write_memo
+        let table = if write {
+            &self.tables.write
         } else {
-            &self.data_read_memo
+            &self.tables.read
         };
-        if let Some((pp, slot)) = memo.lookup(page, user, pkru, epoch) {
+        if let Some((pp, slot)) = table.lookup(page, user, pkru, epoch) {
             self.mmu.count_memo_hit();
             return Ok((pp | (linear & PAGE_MASK), slot));
         }
         self.translate_data_slot_miss(linear, write)
     }
 
-    /// Memo miss of [`Machine::translate_data_slot`]: walks the MMU and
-    /// refills the memos.
+    /// Table miss of [`Machine::translate_data_slot`]: walks the MMU and
+    /// refills the tables.
     #[inline(never)]
     fn translate_data_slot_miss(
         &mut self,
         linear: u32,
         write: bool,
     ) -> Result<(u32, u32), FaultBuilder> {
+        self.memo_misses += 1;
         let user = self.cpu.cpl == 3;
         let pkru = self.cpu.pkru;
         let page = linear & !PAGE_MASK;
@@ -1040,13 +1104,14 @@ impl Machine {
         } else {
             self.mem.frame_slot(pp).unwrap_or(NO_SLOT)
         };
+        let tables = Arc::make_mut(&mut self.tables);
         if write {
             // A successful write-translate leaves the TLB entry dirty and
             // write rights imply read rights, so the page is also good
             // for reads.
-            self.data_write_memo.fill(page, pp, slot, user, pkru, epoch);
+            tables.write.fill(page, pp, slot, user, pkru, epoch);
         }
-        self.data_read_memo.fill(page, pp, slot, user, pkru, epoch);
+        tables.read.fill(page, pp, slot, user, pkru, epoch);
         Ok((t.phys, slot))
     }
 
@@ -1454,7 +1519,7 @@ impl Machine {
     /// through the full path: the segment-write generation (so the
     /// CS/DS caches and the CPL — the memo's `user` key — are
     /// bit-identical to what the entry guard validated), the MMU epoch
-    /// with paging still on (the fetch-page memo would return the same
+    /// with paging still on (the fetch table would return the same
     /// translation), and the global code-invalidation epoch (no frame's
     /// code generation moved, so the bytes are still the predecoded
     /// ones). Any mismatch falls back to the full path, which breaks or
@@ -1512,10 +1577,10 @@ impl Machine {
         true
     }
 
-    /// Fetch-path translation through the fetch-page memo (fast path
-    /// only; the byte-wise baseline keeps calling
-    /// [`Machine::translate_fetch`]). See [`PageMemo`] for why the memo
-    /// is invisible to the simulated machine.
+    /// Fetch-path translation through the fetch table (fast path only;
+    /// the byte-wise baseline keeps calling [`Machine::translate_fetch`]).
+    /// See [`PageMemo`] for why the table is invisible to the simulated
+    /// machine.
     #[inline]
     fn translate_fetch_fast(&mut self, linear: u32) -> Result<u32, FaultBuilder> {
         // Memoize only under paging: `enabled` is a plain field that can
@@ -1528,14 +1593,21 @@ impl Machine {
         let user = self.cpu.cpl == 3;
         let epoch = self.mmu.epoch();
         // Protection keys never gate instruction fetches (as on real
-        // MPK hardware), so the fetch memo keys on a constant PKRU.
-        if let Some((pp, _)) = self.fetch_memo.lookup(page, user, 0, epoch) {
+        // MPK hardware), so the fetch table keys on a constant PKRU.
+        if let Some((pp, _)) = self.tables.fetch.lookup(page, user, 0, epoch) {
             self.mmu.count_memo_hit();
             return Ok(pp | (linear & PAGE_MASK));
         }
+        self.memo_misses += 1;
         let phys = self.translate_fetch(linear)?;
-        self.fetch_memo
-            .fill(page, phys & !PAGE_MASK, NO_SLOT, user, 0, epoch);
+        Arc::make_mut(&mut self.tables).fetch.fill(
+            page,
+            phys & !PAGE_MASK,
+            NO_SLOT,
+            user,
+            0,
+            epoch,
+        );
         Ok(phys)
     }
 

@@ -143,8 +143,8 @@ pub struct Mmu {
     tlb: HashMap<u32, TlbEntry, U32HashBuilder>,
     /// Advances on every invalidation (full flush or single-page flush) —
     /// the only operations that remove or change a live TLB entry. A
-    /// caller holding a memoized translation (the machine's fetch-page
-    /// memo) revalidates against this instead of re-probing the TLB.
+    /// caller holding a memoized translation (the machine's translation
+    /// tables) revalidates against this instead of re-probing the TLB.
     epoch: u64,
     /// Statistics counters.
     pub stats: TlbStats,

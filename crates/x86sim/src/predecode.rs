@@ -37,10 +37,11 @@
 use crate::mem::{PhysMem, PAGE_MASK, PAGE_SIZE};
 use asm86::isa::Insn;
 
-/// Host-side hit/miss counters for the predecode cache.
+/// Host-side counters of the predecode fast path: the predecode cache's
+/// hits and misses, and the machine's translation-table misses.
 ///
 /// Purely observational: they exist so benchmarks and tests can see the
-/// cache working, and are deliberately *not* part of the simulated
+/// fast path working, and are deliberately *not* part of the simulated
 /// machine state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PredecodeStats {
@@ -48,6 +49,10 @@ pub struct PredecodeStats {
     pub hits: u64,
     /// Fetches that had to run the decoder (including invalidations).
     pub misses: u64,
+    /// Fetch and data translations that missed the machine's
+    /// direct-mapped translation tables and walked the MMU (always 0 in
+    /// [`InsnCache::stats`], which knows nothing of the tables).
+    pub translation_misses: u64,
 }
 
 /// Number of direct-mapped slots (8192 ≈ 8 pages of dense code before
@@ -255,7 +260,13 @@ mod tests {
         let (mut mem, mut c) = nop_cache();
         c.insert(&mut mem, 0x1000, Insn::Nop, 1, None);
         assert_eq!(c.lookup(&mem, 0x1000, 12, None), Some((Insn::Nop, 1, 1)));
-        assert_eq!(c.stats(), PredecodeStats { hits: 1, misses: 0 });
+        assert_eq!(
+            c.stats(),
+            PredecodeStats {
+                hits: 1,
+                ..PredecodeStats::default()
+            }
+        );
     }
 
     #[test]

@@ -41,8 +41,9 @@
 //!   the CPL byte-for-byte: none of them can change without a segment
 //!   cache write.
 
+use crate::mem::U32HashBuilder;
 use asm86::isa::Insn;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One decoded instruction with its length and base cycle cost: what
@@ -91,7 +92,12 @@ pub(crate) struct BlockToken {
 
 /// The token store: physical block start → token. `Arc` so world forks
 /// share it copy-on-write like the predecode cache's slot array.
-pub(crate) type TokenMap = Arc<BTreeMap<u32, Arc<BlockToken>>>;
+///
+/// Hashed with the simulator's address hasher because the fetch path
+/// probes it on every full-path fetch. Nothing iterates the map and
+/// tokens are never serialized (a restored world reinstalls them), so
+/// its order cannot reach cycles, statistics or images.
+pub(crate) type TokenMap = Arc<HashMap<u32, Arc<BlockToken>, U32HashBuilder>>;
 
 /// An active token run: the machine is executing inside a proven block
 /// and the entry guard held. Cleared on any mismatch; a run that reaches

@@ -16,6 +16,9 @@
 //! template world (the default; copy-on-write, microsecond boot) or
 //! cold-boot each episode — a host-performance knob only, the reports
 //! are byte-identical (the CI `snapshot_fork` job compares them).
+//! `--predecode on|off` likewise switches the simulator's predecode fast
+//! path (predecode cache and translation tables) in every episode; the
+//! reports are byte-identical either way.
 //!
 //! `--crash-drill` runs a durable-checkpoint crash drill instead of the
 //! campaign: a seeded call workload checkpoints every
@@ -37,7 +40,8 @@ fn usage_error(what: &str) -> ! {
     eprintln!("{what}");
     eprintln!(
         "usage: chaos_campaign [--seed N] [--steps N] [--jobs N] [--cycle-limit N] \
-         [--boot fork|cold] [--report PATH] [--crash-drill] [--checkpoint-every N]"
+         [--boot fork|cold] [--predecode on|off] [--report PATH] [--crash-drill] \
+         [--checkpoint-every N]"
     );
     std::process::exit(2);
 }
@@ -177,6 +181,12 @@ fn main() {
                 Some("cold") => cfg.fork_boot = false,
                 Some(v) => usage_error(&format!("--boot expects fork|cold, got `{v}`")),
                 None => usage_error("--boot requires a value"),
+            },
+            "--predecode" => match args.next().as_deref() {
+                Some("on") => cfg.predecode = true,
+                Some("off") => cfg.predecode = false,
+                Some(v) => usage_error(&format!("--predecode expects on|off, got `{v}`")),
+                None => usage_error("--predecode requires a value"),
             },
             "--crash-drill" => run_drill = true,
             "--checkpoint-every" => {
