@@ -5,7 +5,10 @@
 //! and `kext_hoist` rows isolate proof-directed check elision: both
 //! modes are verified, fast is proof-hoisted (per-access limit/PPL
 //! checks collapsed to one guard at block entry) and baseline is
-//! verified-unhoisted. Written to `BENCH_sim_throughput.json`.
+//! verified-unhoisted. Each row records both modes' best batch time
+//! (`*_secs`, which the steps/s and speedup columns use) and their median
+//! batch time (`*_median_secs`), so the spread shows. Written to
+//! `BENCH_sim_throughput.json`.
 //!
 //! A second section measures worker scaling: the same workloads sharded
 //! across a `parex` pool at 1/2/4/8 workers (override with
@@ -90,12 +93,20 @@ fn to_json(sections: &Sections<'_>, quick: bool) -> String {
             json_escape_free_number(p.fast_secs)
         ));
         s.push_str(&format!(
+            "      \"fast_median_secs\": {},\n",
+            json_escape_free_number(p.fast_median_secs)
+        ));
+        s.push_str(&format!(
             "      \"fast_steps_per_sec\": {},\n",
             json_escape_free_number(p.fast_ips())
         ));
         s.push_str(&format!(
             "      \"baseline_secs\": {},\n",
             json_escape_free_number(p.base_secs)
+        ));
+        s.push_str(&format!(
+            "      \"baseline_median_secs\": {},\n",
+            json_escape_free_number(p.base_median_secs)
         ));
         s.push_str(&format!(
             "      \"baseline_steps_per_sec\": {},\n",

@@ -568,12 +568,16 @@ pub struct ThroughputPoint {
     pub workload: &'static str,
     /// Guest instructions retired in the timed fast-path run.
     pub fast_insns: u64,
-    /// Host seconds for the fast-path run.
+    /// Host seconds for the fast-path run (the best batch).
     pub fast_secs: f64,
+    /// Median host seconds over the fast-path batches.
+    pub fast_median_secs: f64,
     /// Guest instructions retired in the timed baseline run.
     pub base_insns: u64,
-    /// Host seconds for the baseline run.
+    /// Host seconds for the baseline run (the best batch).
     pub base_secs: f64,
+    /// Median host seconds over the baseline batches.
+    pub base_median_secs: f64,
 }
 
 impl ThroughputPoint {
@@ -787,26 +791,30 @@ pub fn measure_sim_throughput_with(
             // count is identical in every batch — the simulation is
             // deterministic — so only the host clock varies. Several
             // short batches beat one long one for this: the minimum
-            // converges on the unloaded-host time.
-            const ROUNDS: u32 = 14;
-            let mut fast = (0u64, f64::INFINITY);
-            let mut base = (0u64, f64::INFINITY);
+            // converges on the unloaded-host time. The median is kept
+            // next to it so a row shows how far the batches spread.
+            const ROUNDS: usize = 14;
+            let (mut fast, mut base) = (Vec::new(), Vec::new());
+            let (mut fast_insns, mut base_insns) = (0, 0);
             for _ in 0..ROUNDS {
-                let f = run(iters, true);
-                if f.1 < fast.1 {
-                    fast = f;
-                }
-                let b = run(iters, false);
-                if b.1 < base.1 {
-                    base = b;
-                }
+                let (insns, secs) = run(iters, true);
+                fast_insns = insns;
+                fast.push(secs);
+                let (insns, secs) = run(iters, false);
+                base_insns = insns;
+                base.push(secs);
             }
+            fast.sort_by(f64::total_cmp);
+            base.sort_by(f64::total_cmp);
+            let median = |v: &[f64]| (v[ROUNDS / 2 - 1] + v[ROUNDS / 2]) / 2.0;
             ThroughputPoint {
                 workload,
-                fast_insns: fast.0,
-                fast_secs: fast.1,
-                base_insns: base.0,
-                base_secs: base.1,
+                fast_insns,
+                fast_secs: fast[0],
+                fast_median_secs: median(&fast),
+                base_insns,
+                base_secs: base[0],
+                base_median_secs: median(&base),
             }
         })
         .collect()

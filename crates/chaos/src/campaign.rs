@@ -19,9 +19,11 @@
 //! re-checks the structural §6 invariants; at intervals the behavioural
 //! probes (fork/exec, syscall rejection, timer abort) run on scratch
 //! kernels, and the durability probe checkpoints the episode's own
-//! kernel, asserts the image round-trips, and asserts every corruption
-//! class is rejected. Any violation — including a host panic, which the
-//! driver catches — fails the audit.
+//! kernel, asserts the image round-trips, asserts every corruption
+//! class is rejected, and feeds hostile-writer images (every CRC valid)
+//! to the restore gate, which must return `Ok` or a typed error. Any
+//! violation — including a host panic, which the driver catches — fails
+//! the audit.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -139,6 +141,9 @@ pub struct CampaignReport {
 }
 
 const CANARY: u32 = 0xC0FF_EE11;
+
+/// Hostile-writer images the durability probe restores per probe.
+const HOSTILE_RESTORES: u32 = 4;
 
 /// The per-episode world: one kernel hosting both extension mechanisms.
 ///
@@ -633,10 +638,11 @@ fn run_episode(
                     .push(format!("step {stepno} [{}]: {v}", cfg.backend));
             }
             // Durability probe on the episode's own world: its kernel
-            // image must restore cleanly, and every checkpoint-corruption
-            // class must be rejected with a typed error. The probe rng is
-            // a function of (seed, step) alone, preserving the
-            // jobs-invariance of the event log.
+            // image must restore cleanly, every checkpoint-corruption
+            // class must be rejected with a typed error, and hostile
+            // writer images must restore or fail typed, never panic. The
+            // probe rngs are functions of (seed, step) alone, preserving
+            // the jobs-invariance of the event log.
             if let Some(ep) = episode.as_ref() {
                 let img = ep.k.save_image();
                 if Kernel::restore_image(&img).is_err() {
@@ -652,6 +658,11 @@ fn run_episode(
                     1,
                     &mut cr,
                 ) {
+                    out.violations
+                        .push(format!("step {stepno} [{}]: {v}", cfg.backend));
+                }
+                let mut hr = SeedRng::new(cfg.seed ^ 0x4057_11E0 ^ u64::from(stepno));
+                for v in oracle::probe_hostile_restore(&img, HOSTILE_RESTORES, &mut hr) {
                     out.violations
                         .push(format!("step {stepno} [{}]: {v}", cfg.backend));
                 }

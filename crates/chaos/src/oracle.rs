@@ -27,7 +27,9 @@
 //! tampered world image is always rejected with a typed restore error —
 //! never silently restored, never a host panic
 //! ([`probe_checkpoint_rejection`] drives every corruption class from
-//! [`crate::corrupt`] against a valid image).
+//! [`crate::corrupt`] against a valid image), and an image from a
+//! hostile writer, every CRC valid, restores or fails with a typed
+//! error ([`probe_hostile_restore`]).
 
 use std::collections::BTreeMap;
 
@@ -432,6 +434,27 @@ pub fn probe_timer_abort(cycle_limit: u64) -> Result<(), Violation> {
         return Err(fail("threshold-1 runaway was not quarantined".into()));
     }
     Ok(())
+}
+
+/// Restore-gate probe: `trials` seeded
+/// [`corrupt::hostile_writer_image`] rewrites of the kernel image
+/// `image`, each fed to [`Kernel::restore_image`]. The image may restore
+/// (`Ok`) or fail with a typed error; a host panic is a violation.
+pub fn probe_hostile_restore(image: &[u8], trials: u32, r: &mut SeedRng) -> Vec<Violation> {
+    let mut v = Vec::new();
+    for _ in 0..trials {
+        let (id, at, value, bad) =
+            corrupt::hostile_writer_image(image, x86sim::image::kind::KERNEL, r);
+        if std::panic::catch_unwind(|| Kernel::restore_image(&bad).map(drop)).is_err() {
+            v.push(Violation {
+                invariant: "checkpoint-restores",
+                detail: format!(
+                    "hostile writer {value:#x} at section {id:#x} offset {at} panicked restore"
+                ),
+            });
+        }
+    }
+    v
 }
 
 /// Durability invariant probe: every corruption class applied to a valid

@@ -15,7 +15,10 @@ use crate::image::{self, base, kind, Enc, ImageBuilder, ImageView, RestoreError}
 use crate::mem::{PhysMem, PAGE_MASK, PAGE_SIZE};
 use crate::paging::{Access, Mmu};
 use crate::predecode::{InsnCache, PredecodeStats};
-use crate::proof::{BlockToken, ProofDs, ProofInstallError, ProofRun, ProofStats, TokenInsn};
+use crate::proof::{
+    BlockToken, ProofDs, ProofInstallError, ProofRun, ProofStats, TokenInsn, MAX_BLOCK_INSNS,
+    MAX_LAZY_BLOCKS,
+};
 use crate::trace::{Trace, TraceRecord};
 use std::sync::Arc;
 
@@ -261,13 +264,19 @@ pub struct Machine {
     /// MMU (reported in [`PredecodeStats::translation_misses`]). Never
     /// serialized; a restored world starts at zero.
     memo_misses: u64,
-    /// Installed proof tokens, keyed by physical block start. Shared
-    /// copy-on-write across forks like the predecode slot array.
-    proof_tokens: crate::proof::TokenMap,
+    /// Block tokens, verifier-installed and lazily built, keyed by
+    /// physical block start. Shared copy-on-write across forks like the
+    /// predecode slot array.
+    blocks: crate::proof::BlockMap,
     /// The token run in progress, if the last fetch was served from one.
     proof_run: Option<ProofRun>,
-    /// Master switch for serving from tokens (installation is always
-    /// allowed). Off = the differential baseline.
+    /// Instructions served from token runs, indexed by
+    /// [`ProofRun::verified`]: `[0]` are predecode hits, `[1]`
+    /// [`ProofStats::served`].
+    block_served: [u64; 2],
+    /// Master switch for cashing in verifier proofs (installation is
+    /// always allowed). Off = the differential baseline: blocks are still
+    /// served, but no DS check is elided.
     proof_elide: bool,
     /// Set per fetch: the instruction about to execute was served from a
     /// token whose DS entry guard held, so its DS accesses skip the
@@ -464,8 +473,9 @@ impl Machine {
                 write: MemoTable::EMPTY,
             }),
             memo_misses: 0,
-            proof_tokens: crate::proof::TokenMap::default(),
+            blocks: crate::proof::BlockMap::default(),
             proof_run: None,
+            block_served: [0; 2],
             proof_elide: true,
             ds_elide_now: false,
             seg_gen: 0,
@@ -701,22 +711,30 @@ impl Machine {
     ///
     /// This is a *host* performance knob: simulated semantics and cycle
     /// accounting are identical either way (the determinism tests assert
-    /// it). Disabling clears the cache and falls back to the byte-wise
-    /// fetch, which the throughput benchmark uses as its baseline.
+    /// it). Disabling clears the cache, drops the lazily built blocks and
+    /// falls back to the byte-wise fetch, which the throughput benchmark
+    /// uses as its baseline.
     pub fn set_predecode(&mut self, on: bool) {
         self.predecode = on;
         if !on {
             self.icache.clear();
             self.proof_run = None;
+            if self.blocks.len() > self.proof_token_count() {
+                Arc::make_mut(&mut self.blocks).retain(|_, t| t.verified);
+            }
         }
     }
 
     /// Host-side counters of the predecode fast path: predecode cache
-    /// hits and misses, and translation-table misses.
+    /// hits and misses, and translation-table misses. Instructions served
+    /// from lazily built blocks (or from verifier tokens while proof
+    /// elision is off) count as hits.
     pub fn predecode_stats(&self) -> PredecodeStats {
+        let cache = self.icache.stats();
         PredecodeStats {
+            hits: cache.hits + self.block_served[0],
             translation_misses: self.memo_misses,
-            ..self.icache.stats()
+            ..cache
         }
     }
 
@@ -728,9 +746,10 @@ impl Machine {
     /// bytes itself — the caller asserts only the *proof* (that every DS
     /// access stays at offsets `..=ds.hi`), never the decoding.
     ///
-    /// Serving requires both the predecode fast path and
-    /// [`Machine::set_proof_elision`] to be on. A failed installation is
-    /// harmless: the block simply executes on the normal path.
+    /// Serving requires the predecode fast path; eliding DS checks also
+    /// requires [`Machine::set_proof_elision`] to be on. A failed
+    /// installation is harmless: the block simply executes as an
+    /// unproven one.
     pub fn install_proof_token(
         &mut self,
         linear: u32,
@@ -751,20 +770,8 @@ impl Machine {
         }
         // Contiguity of the linear range follows: it fits one page too.
         let bytes = self.host_read(linear, len as usize);
-        let mut insns = Vec::new();
-        let mut at = 0usize;
-        while at < len as usize {
-            let Ok((insn, ilen)) = decode(&bytes[at..]) else {
-                return Err(ProofInstallError::BadBytes);
-            };
-            insns.push(TokenInsn {
-                insn,
-                len: ilen as u32,
-                cost: cycles::measured_cost(&insn),
-            });
-            at += ilen;
-        }
-        if at != len as usize {
+        let (insns, tiled) = decode_block(&bytes, len as usize, usize::MAX, false);
+        if tiled != len as usize {
             return Err(ProofInstallError::BadBytes);
         }
         // Track self-modification exactly like the predecode cache: mark
@@ -780,18 +787,22 @@ impl Machine {
             ds,
             slot,
             gen,
+            verified: true,
         };
-        Arc::make_mut(&mut self.proof_tokens).insert(phys, Arc::new(token));
-        self.proof_stats.installed = self.proof_tokens.len() as u64;
+        let old = Arc::make_mut(&mut self.blocks).insert(phys, Arc::new(token));
+        if !old.is_some_and(|t| t.verified) {
+            self.proof_stats.installed += 1;
+        }
         Ok(())
     }
 
     /// Removes every installed proof token and stops any active run.
     /// Loaders call this when a module is unloaded or its pages are
-    /// repurposed; still-valid proofs can simply be reinstalled.
+    /// repurposed; still-valid proofs can simply be reinstalled. Lazily
+    /// built blocks stay: they revalidate themselves.
     pub fn clear_proof_tokens(&mut self) {
-        if !self.proof_tokens.is_empty() {
-            self.proof_tokens = crate::proof::TokenMap::default();
+        if self.proof_stats.installed > 0 {
+            Arc::make_mut(&mut self.blocks).retain(|_, t| !t.verified);
         }
         self.proof_run = None;
         self.proof_stats.installed = 0;
@@ -806,46 +817,57 @@ impl Machine {
         let Some(phys) = self.host_translate(linear) else {
             return false;
         };
-        let removed = Arc::make_mut(&mut self.proof_tokens)
-            .remove(&phys)
-            .is_some();
-        if removed {
-            if let Some(run) = &self.proof_run {
-                if run.token.start_phys == phys {
-                    self.proof_run = None;
-                }
-            }
-            self.proof_stats.installed = self.proof_tokens.len() as u64;
+        if !self.blocks.get(&phys).is_some_and(|t| t.verified) {
+            return false;
         }
-        removed
+        Arc::make_mut(&mut self.blocks).remove(&phys);
+        if self
+            .proof_run
+            .as_ref()
+            .is_some_and(|r| r.start_phys == phys)
+        {
+            self.proof_run = None;
+        }
+        self.proof_stats.installed -= 1;
+        true
     }
 
-    /// Enables or disables serving from proof tokens.
+    /// Enables or disables cashing in verifier proofs.
     ///
-    /// Like [`Machine::set_predecode`], a *host* knob: simulated cycles,
+    /// Off, installed tokens are served like lazily built blocks: no DS
+    /// check is elided and nothing is counted in [`ProofStats`]. Like
+    /// [`Machine::set_predecode`], a *host* knob: simulated cycles,
     /// statistics and faults are identical either way (the differential
     /// soundness fuzzer asserts exactly this). Off is the baseline the
     /// throughput benchmark and the fuzzer's unelided twin use.
     pub fn set_proof_elision(&mut self, on: bool) {
         self.proof_elide = on;
-        if !on {
-            self.proof_run = None;
-        }
+        self.proof_run = None;
     }
 
-    /// Whether serving from proof tokens is enabled.
+    /// Whether verifier proofs are cashed in.
     pub fn proof_elision_enabled(&self) -> bool {
         self.proof_elide
     }
 
     /// Host-side proof-token counters.
     pub fn proof_stats(&self) -> ProofStats {
-        self.proof_stats
+        ProofStats {
+            served: self.block_served[1],
+            ..self.proof_stats
+        }
     }
 
     /// Number of installed proof tokens.
     pub fn proof_token_count(&self) -> usize {
-        self.proof_tokens.len()
+        self.proof_stats.installed as usize
+    }
+
+    /// Stored block tokens (negative entries included) and the
+    /// instructions served from lazily built ones.
+    #[cfg(test)]
+    pub(crate) fn lazy_block_stats(&self) -> (usize, u64) {
+        (self.blocks.len(), self.block_served[0])
     }
 
     /// Total cycles charged so far.
@@ -953,7 +975,7 @@ impl Machine {
     /// The single funnel for segment-cache writes: every load of a
     /// segment register (and the host forcing helpers) goes through here
     /// so the segment-write generation advances — the one compare a
-    /// proof-token run needs to know its snapshotted CS/DS/CPL state is
+    /// block-token run needs to know its snapshotted CS/DS/CPL state is
     /// untouched.
     #[inline]
     pub(crate) fn write_seg_cache(&mut self, sr: SegReg, cache: SegCache) {
@@ -1260,7 +1282,7 @@ impl Machine {
     /// cycle cost — [`cycles::measured_cost`], memoized in the predecode
     /// cache so a hit does not re-derive it.
     ///
-    /// Only the hit paths are inlined into the run loop: the proof-token
+    /// Only the hit paths are inlined into the run loop: the block-token
     /// continuation, the expand-up window, the memoized translation and
     /// the predecode hit. Misses, the byte-wise baseline and the
     /// expand-down probe are separate functions.
@@ -1276,7 +1298,7 @@ impl Machine {
         // verified, so it is skipped wholesale. This is where the
         // hoisting pays: a served instruction costs a handful of
         // compares. Falls through to the full path on any mismatch.
-        if self.proof_elide && self.proof_run.is_some() && self.proof_fast(eip) {
+        if self.proof_fast(eip) {
             return Ok(());
         }
         let cs = *self.cpu.seg(SegReg::Cs);
@@ -1321,14 +1343,14 @@ impl Machine {
         // the decoder runs out of bytes.
         let phys0 = self.translate_fetch_fast(lin0)?;
 
-        // Proof-token fast path: serve the instruction from an installed
-        // token when the block's hoisted entry guard (still) holds. The
+        // Block fast path: serve the instruction from a block token when
+        // the block's hoisted entry guard (still) holds. The
         // serve is host-only — the translation above already performed
         // the same (memoized) work the normal path does, the token block
         // never spans a second page, and the precomputed cost is the one
         // the normal decode would derive — so cycles, stats and faults
         // are byte-identical to the normal path below.
-        if self.proof_elide && self.proof_serve(phys0, eip, &cs) {
+        if self.proof_serve(phys0, eip, &cs) {
             return Ok(());
         }
         let page_rem = (PAGE_SIZE - (lin0 & PAGE_MASK)) as usize;
@@ -1389,7 +1411,9 @@ impl Machine {
     /// the original algorithm's cost structure — a `check_limit` probe,
     /// a translation and a physical read *per prefetched byte* — with
     /// semantics identical to the per-page path, including the deferred
-    /// page-boundary fault.
+    /// page-boundary fault. Like the per-page path, it counts one TLB hit
+    /// per page touched: a byte's translation after the first on its page
+    /// is a guaranteed hit, and its count is taken back.
     #[inline(never)]
     fn fetch_bytewise(
         &mut self,
@@ -1405,12 +1429,17 @@ impl Machine {
             if !cs.check_limit(off, 1) {
                 break;
             }
-            match self.translate_fetch(cs.base.wrapping_add(off)) {
+            let linear = cs.base.wrapping_add(off);
+            let hits = self.mmu.stats.hits;
+            match self.translate_fetch(linear) {
                 Ok(phys) => buf[n] = self.mem.read_u8(phys),
                 Err(fb) => {
                     pending = Some(fb);
                     break;
                 }
+            }
+            if n > 0 && linear & PAGE_MASK != 0 {
+                self.mmu.stats.hits = hits;
             }
             n += 1;
         }
@@ -1433,10 +1462,10 @@ impl Machine {
     }
 
     /// Tries to serve the fetch at `eip` (translated to `phys0`) from a
-    /// proof token: either the active run's next instruction, or the
-    /// first instruction of a token starting at `phys0` whose entry
-    /// guard holds, into `self.fetched`. `false` falls through to the
-    /// normal fetch path.
+    /// block token: either the active run's next instruction, or the
+    /// first instruction of a token starting at `phys0` — built now if
+    /// there is none — whose entry guard holds, into `self.fetched`.
+    /// `false` falls through to the normal fetch path.
     fn proof_serve(&mut self, phys0: u32, eip: u32, cs: &SegCache) -> bool {
         if let Some(run) = &self.proof_run {
             if run.idx == run.count {
@@ -1461,36 +1490,44 @@ impl Machine {
                     run.code_epoch = code_epoch;
                     return self.proof_advance();
                 }
+                self.proof_stats.broken += u64::from(run.verified);
                 self.proof_run = None;
-                self.proof_stats.broken += 1;
             }
         }
-        // Not inside a run: attempt activation at a block boundary.
-        let Some(token) = self.proof_tokens.get(&phys0) else {
-            return false;
+        // Not inside a run: attempt activation at a block boundary. The
+        // bytes must still be what was predecoded (code generation): a
+        // lazily built block whose bytes changed is rebuilt, a stale
+        // verifier token is not (its proof was about the old bytes).
+        let token = match self.blocks.get(&phys0) {
+            Some(t) if self.mem.slot_code_generation(t.slot) == t.gen => Arc::clone(t),
+            Some(t) if t.verified => return false,
+            _ => match self.build_block(phys0, eip, cs) {
+                Some(t) => t,
+                None => return false,
+            },
         };
-        let token = Arc::clone(token);
         debug_assert_eq!(token.start_phys, phys0);
+        if token.insns.is_empty() {
+            return false;
+        }
         // Entry guard, hoisted over the whole block:
         // - the block's last byte is inside the (expand-up) CS limit, so
         //   every per-instruction window check inside the block passes;
-        // - the bytes still are what was predecoded (code generation);
         // - when the block carries a DS bounds proof, DS covers its
         //   maximum offset with the rights its accesses need.
-        if cs.expand_down
-            || eip.checked_add(token.len - 1).is_none_or(|e| e > cs.limit)
-            || self.mem.slot_code_generation(token.slot) != token.gen
-        {
+        if cs.expand_down || eip.checked_add(token.len - 1).is_none_or(|e| e > cs.limit) {
             return false;
         }
+        let verified = self.proof_elide && token.verified;
         let ds = *self.cpu.seg(SegReg::Ds);
-        let ds_elide = token.ds.is_some_and(|p| {
-            ds.valid
-                && !ds.expand_down
-                && p.hi <= ds.limit
-                && (!p.stores || (!ds.code && ds.writable))
-                && (!p.loads || ds.readable)
-        });
+        let ds_elide = verified
+            && token.ds.is_some_and(|p| {
+                ds.valid
+                    && !ds.expand_down
+                    && p.hi <= ds.limit
+                    && (!p.stores || (!ds.code && ds.writable))
+                    && (!p.loads || ds.readable)
+            });
         self.proof_run = Some(ProofRun {
             idx: 0,
             count: token.insns.len(),
@@ -1506,9 +1543,52 @@ impl Machine {
             paged: self.mmu.enabled,
             seg_gen: self.seg_gen,
             ds_elide,
+            verified,
         });
-        self.proof_stats.activations += 1;
+        self.proof_stats.activations += u64::from(verified);
         self.proof_advance()
+    }
+
+    /// Decodes the straight-line block at `phys0` (fetched at `eip`
+    /// through `cs`) up to and including its first control transfer,
+    /// and stores it as a lazily built token. Like an installed token,
+    /// the block plus one fetch window fits inside the page; it also
+    /// ends inside the CS limit. A block with no instruction is stored
+    /// too, as a negative entry. `None` when no block may be built here.
+    #[inline(never)]
+    fn build_block(&mut self, phys0: u32, eip: u32, cs: &SegCache) -> Option<Arc<BlockToken>> {
+        if cs.expand_down {
+            return None;
+        }
+        // Only a frame the normal path has already backed: materializing
+        // one here would be observable.
+        let slot = self.mem.frame_slot(phys0)?;
+        let off = (phys0 & PAGE_MASK) as usize;
+        // `eip <= cs.limit`: the fetch window was not empty.
+        let room = (PAGE_SIZE as usize)
+            .saturating_sub(off + MAX_INSN_LEN)
+            .min((cs.limit - eip) as usize + 1);
+        let bytes = self.mem.frame_data(phys0)?;
+        let (insns, len) = decode_block(&bytes[off..], room, MAX_BLOCK_INSNS, true);
+        if len > 0 {
+            self.mem.mark_code(slot, off, len);
+        }
+        let token = Arc::new(BlockToken {
+            start_phys: phys0,
+            len: len as u32,
+            insns,
+            ds: None,
+            slot,
+            gen: self.mem.slot_code_generation(slot),
+            verified: false,
+        });
+        let lazy = self.blocks.len() - self.proof_token_count();
+        let blocks = Arc::make_mut(&mut self.blocks);
+        if lazy >= MAX_LAZY_BLOCKS {
+            blocks.retain(|_, t| t.verified);
+        }
+        blocks.insert(phys0, Arc::clone(&token));
+        Some(token)
     }
 
     /// Hot path of [`Machine::proof_serve`]: continues an active run —
@@ -1552,7 +1632,7 @@ impl Machine {
             run.idx = 0;
             run.expect_eip = run.start_eip;
             run.expect_phys = run.start_phys;
-            self.proof_stats.activations += 1;
+            self.proof_stats.activations += u64::from(run.verified);
         }
         self.proof_advance()
     }
@@ -1573,7 +1653,7 @@ impl Machine {
         run.idx += 1;
         run.expect_eip = run.expect_eip.wrapping_add(t.len);
         run.expect_phys += t.len;
-        self.proof_stats.served += 1;
+        self.block_served[usize::from(run.verified)] += 1;
         true
     }
 
@@ -1856,6 +1936,33 @@ impl Machine {
             Descriptor::Gate(g) => g.present,
         })
     }
+}
+
+/// Decodes the instructions at the start of `code` that end within its
+/// first `room` bytes, at most `max` of them, stopping after the first
+/// control transfer when `straight`. Returns them and the bytes they
+/// tile.
+fn decode_block(code: &[u8], room: usize, max: usize, straight: bool) -> (Vec<TokenInsn>, usize) {
+    let mut insns = Vec::new();
+    let mut len = 0;
+    while len < room && insns.len() < max {
+        let Ok((insn, n)) = decode(&code[len..]) else {
+            break;
+        };
+        if len + n > room {
+            break;
+        }
+        insns.push(TokenInsn {
+            insn,
+            len: n as u32,
+            cost: cycles::measured_cost(&insn),
+        });
+        len += n;
+        if straight && insn.is_control() {
+            break;
+        }
+    }
+    (insns, len)
 }
 
 /// The prefetch window of a (force-loaded) expand-down code segment,

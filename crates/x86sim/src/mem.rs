@@ -261,7 +261,7 @@ impl PhysMem {
     /// The global code-invalidation epoch: advances exactly when some
     /// frame's [`PhysMem::slot_code_generation`] advances. A consumer
     /// that validated a slot's generation may substitute "epoch
-    /// unchanged" for re-reading the slot — the proof-token hot path's
+    /// unchanged" for re-reading the slot — the block-token hot path's
     /// self-modification guard.
     #[inline]
     pub fn code_epoch(&self) -> u64 {

@@ -1,45 +1,61 @@
-//! Proof tokens: verifier-licensed per-block check elision.
+//! Block tokens: the fetch path's one store of predecoded straight-line
+//! blocks, in which a verifier proof only adds DS check elision.
 //!
-//! The static verifier (crate `verifier`) emits, with every accepted
-//! module, a proof map: per basic block, the facts it *proved* — most
-//! usefully that every effective-DS access in the block falls inside one
-//! static offset range. A loader that trusts the verifier can cash those
-//! facts in here: [`crate::machine::Machine::install_proof_token`] turns
-//! a proven block into a [`BlockToken`], and the fetch path then serves
-//! the block's instructions from the token while a single *hoisted*
-//! guard — evaluated once at block entry instead of once per access —
-//! stands in for the per-instruction segment-limit and rights
-//! validation inside the block.
+//! A `BlockToken` holds a block's instructions predecoded, keyed by the
+//! physical address of its first byte. The fetch path serves a block's
+//! instructions from the token while a single *hoisted* entry guard —
+//! evaluated once at block entry instead of once per fetch — stands in
+//! for the per-instruction CS window check, translation and predecode
+//! lookup. Tokens come from two places:
+//!
+//! - **Lazily built blocks.** A full-path fetch that finds no token at
+//!   its physical address decodes the straight-line block starting there
+//!   (up to and including the first control transfer) and stores it.
+//!   These need no verifier: everything the entry guard checks is a
+//!   property of the machine, not of the code. The store keeps at most
+//!   `MAX_LAZY_BLOCKS` of them; past that it drops them all and
+//!   rebuilds on demand.
+//! - **Verifier proofs.** The static verifier (crate `verifier`) emits,
+//!   with every accepted module, a proof map: per basic block, the facts
+//!   it *proved* — most usefully that every effective-DS access in the
+//!   block falls inside one static offset range. A loader that trusts the
+//!   verifier cashes those in with
+//!   [`crate::machine::Machine::install_proof_token`]; while the DS part
+//!   of the entry guard holds, the per-access DS segment check inside the
+//!   block is skipped too. [`ProofStats`] counts only these tokens;
+//!   instructions served from lazily built blocks count as predecode
+//!   hits.
 //!
 //! This is a **host** fast path with the same contract as the predecode
 //! cache: simulated cycles, statistics and faults are byte-identical
 //! with tokens on or off, because every check it skips is one whose
-//! outcome the proof (plus the entry guard) predetermines, and the
-//! skipped work never charged simulated cycles in the first place. The
-//! differential soundness fuzzer in `chaos` exists to hold that claim to
-//! account: any divergence between a token-serving world and its
-//! unelided twin is an unsoundness finding against the verifier.
+//! outcome the entry guard (plus, for DS elision, the proof)
+//! predetermines, and the skipped work never charged simulated cycles in
+//! the first place. The differential soundness fuzzer in `chaos` holds
+//! the proof half of that claim to account: its unelided twin still
+//! serves blocks but elides no DS check, so any divergence is an
+//! unsoundness finding against the verifier.
 //!
 //! Invalidation reuses the machinery that already polices the predecode
 //! cache:
 //!
 //! - **Self-modifying code** — a token records the code generation of
-//!   its frame's slab slot at install time; every serve revalidates it,
-//!   and any store that overlaps bytes marked as code bumps the
-//!   generation ([`crate::mem::PhysMem::mark_code`]).
+//!   its frame's slab slot when it is built; every activation revalidates
+//!   it, and any store that overlaps bytes marked as code bumps the
+//!   generation ([`crate::mem::PhysMem::mark_code`]). A lazily built
+//!   block whose generation moved is rebuilt from the current bytes.
 //! - **Remapping** — tokens are keyed by *physical* block start, and
 //!   every serve re-runs the (memoized) fetch translation and compares;
 //!   changing the mapping makes the comparison miss and the fetch falls
 //!   back to the normal path. Stale tokens are harmless, merely dead
-//!   weight until the loader clears them.
+//!   weight.
 //! - **Segment reloads** — the entry guard snapshots the machine's
 //!   segment-write generation (a host counter bumped on every segment
 //!   cache load); every serve compares it, so a far transfer or segment
-//!   reload inside the block (possible only via an instruction the
-//!   verifier admits, but guarded anyway) stops the token run on the
-//!   next fetch. The counter subsumes comparing the CS/DS caches and
-//!   the CPL byte-for-byte: none of them can change without a segment
-//!   cache write.
+//!   reload inside the block stops the run on the next fetch. The
+//!   counter subsumes comparing the CS/DS caches and the CPL
+//!   byte-for-byte: none of them can change without a segment cache
+//!   write.
 
 use crate::mem::U32HashBuilder;
 use asm86::isa::Insn;
@@ -70,15 +86,16 @@ pub struct ProofDs {
     pub stores: bool,
 }
 
-/// An installed block token: the block's instructions predecoded, plus
-/// what the entry guard must establish for the elision to be licensed.
+/// A block token: the block's instructions predecoded, plus what the
+/// entry guard must establish before they may be served.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockToken {
     /// Physical address of the block's first byte (the map key).
     pub(crate) start_phys: u32,
     /// Block length in bytes; the block plus a trailing
     /// [`crate::machine::MAX_INSN_LEN`] window fits inside its page, so
-    /// serving never needs a second translation.
+    /// serving never needs a second translation. 0 for a lazily built
+    /// negative entry: no block can start here.
     pub(crate) len: u32,
     /// The block's instructions, tiling exactly `len` bytes.
     pub(crate) insns: Vec<TokenInsn>,
@@ -86,21 +103,34 @@ pub(crate) struct BlockToken {
     pub(crate) ds: Option<ProofDs>,
     /// Slab slot of the block's frame.
     pub(crate) slot: u32,
-    /// Code generation of that slot at install time.
+    /// Code generation of that slot when the token was built.
     pub(crate) gen: u64,
+    /// Installed from a verifier proof (counted in [`ProofStats`]) rather
+    /// than built lazily by the fetch path.
+    pub(crate) verified: bool,
 }
 
-/// The token store: physical block start → token. `Arc` so world forks
+/// Most lazily built blocks (negative entries included) one machine
+/// keeps; reaching it drops them all. Each holds at most
+/// [`MAX_BLOCK_INSNS`] instructions.
+pub(crate) const MAX_LAZY_BLOCKS: usize = 4096;
+
+/// Longest lazily built block, in instructions: longer straight-line
+/// code is split into consecutive blocks.
+pub(crate) const MAX_BLOCK_INSNS: usize = 32;
+
+/// The block store: physical block start → token. `Arc` so world forks
 /// share it copy-on-write like the predecode cache's slot array.
 ///
 /// Hashed with the simulator's address hasher because the fetch path
-/// probes it on every full-path fetch. Nothing iterates the map and
-/// tokens are never serialized (a restored world reinstalls them), so
-/// its order cannot reach cycles, statistics or images.
-pub(crate) type TokenMap = Arc<HashMap<u32, Arc<BlockToken>, U32HashBuilder>>;
+/// probes it on every full-path fetch. Only `retain` iterates the map
+/// and tokens are never serialized (a restored world reinstalls its
+/// proofs and rebuilds its blocks), so its order cannot reach cycles,
+/// statistics or images.
+pub(crate) type BlockMap = Arc<HashMap<u32, Arc<BlockToken>, U32HashBuilder>>;
 
-/// An active token run: the machine is executing inside a proven block
-/// and the entry guard held. Cleared on any mismatch; a run that reaches
+/// An active token run: the machine is executing inside a block and the
+/// entry guard held. Cleared on any mismatch; a run that reaches
 /// block end is *kept* (`idx == insns.len()`) so a loop back edge can
 /// re-arm it without re-running the entry guard or the token lookup.
 #[derive(Debug, Clone)]
@@ -144,9 +174,14 @@ pub(crate) struct ProofRun {
     /// Whether the DS entry guard held: per-access DS checks inside the
     /// block are skipped.
     pub(crate) ds_elide: bool,
+    /// The run cashes in a verifier proof (the token is verified and
+    /// proof elision is on): its serves count in [`ProofStats`], not as
+    /// predecode hits.
+    pub(crate) verified: bool,
 }
 
-/// Host-side proof-token counters (never part of simulated state).
+/// Host-side counters of verifier-installed tokens (never part of
+/// simulated state). Lazily built blocks are not counted here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProofStats {
     /// Tokens currently installed.
@@ -163,7 +198,7 @@ pub struct ProofStats {
 
 /// Why a token could not be installed. Installation failure is never an
 /// error for the caller's correctness — a missing token only means the
-/// block executes on the normal path.
+/// block is served without DS elision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProofInstallError {
     /// The block's linear range is unmapped.

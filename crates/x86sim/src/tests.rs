@@ -2170,13 +2170,8 @@ mod translation_tables {
     //! The direct-mapped fetch/read/write translation tables: a guest's
     //! working set stays resident, conflicting pages still translate
     //! correctly, and the tables are invisible to the simulated machine
-    //! (cycles, TLB misses and flushes, faults and images match the
-    //! table-less `set_predecode(false)` path).
-    //!
-    //! TLB *hits* are the one counter the two paths do not share: the
-    //! byte-wise fetch of the table-less path translates, and counts a
-    //! hit, once per prefetched byte. The differential compares hits
-    //! nowhere and saves images with them zeroed.
+    //! (cycles, TLB statistics, faults and images match the table-less
+    //! `set_predecode(false)` path).
 
     use super::*;
     use crate::machine::{IdtGate, MEMO_ENTRIES};
@@ -2328,22 +2323,11 @@ mod translation_tables {
 
     /// What one phase of the differential guest left behind: its exit
     /// (with any fault's vector, error code, CR2 and cause), cycles,
-    /// instructions, TLB misses and flushes, and registers.
-    type Observed = (&'static str, Exit, u64, u64, u64, u64, [u32; 8]);
+    /// instructions, TLB statistics, and registers.
+    type Observed = (&'static str, Exit, u64, u64, TlbStats, [u32; 8]);
 
     fn observe(phase: &'static str, exit: Exit, m: &Machine) -> Observed {
-        let TlbStats {
-            misses, flushes, ..
-        } = m.mmu.stats;
-        (
-            phase,
-            exit,
-            m.cycles(),
-            m.insns(),
-            misses,
-            flushes,
-            m.cpu.regs,
-        )
+        (phase, exit, m.cycles(), m.insns(), m.mmu.stats, m.cpu.regs)
     }
 
     /// Drives one guest through every case the tables must be invisible
@@ -2470,13 +2454,10 @@ mod translation_tables {
         phase(&mut m, "parent sup", 1, "sup_write", 9);
 
         let misses = m.predecode_stats().translation_misses;
-        // The predecode mode flag is serialized, and so are the TLB hits
-        // the byte-wise fetch counts differently (see the module docs):
-        // save both worlds under one setting of the first and with the
-        // second zeroed.
+        // The predecode mode flag is serialized: save both worlds under
+        // one setting of it.
         let image = |w: &mut Machine| {
             w.set_predecode(true);
-            w.mmu.stats.hits = 0;
             w.save_image()
         };
         (seen, image(&mut m), image(&mut child), misses)
@@ -2522,5 +2503,483 @@ mod translation_tables {
             }
         }
         assert_eq!(exit("sup cpl1"), Exit::IntHook(0x30));
+    }
+}
+
+mod lazy_blocks {
+    //! Lazily built blocks: every straight-line block the fetch path
+    //! serves from a token is invisible to the simulated machine. Each
+    //! scenario runs with predecode on (blocks) and off (the byte-wise
+    //! baseline) and must leave the same exits, registers, cycles, TLB
+    //! statistics and whole images after every phase.
+
+    use super::*;
+    use crate::machine::IdtGate;
+    use crate::mem::FrameAlloc;
+    use crate::paging::TlbStats;
+    use crate::proof::MAX_LAZY_BLOCKS;
+
+    type Observed = (String, Exit, u32, [u32; 8], u64, u64, TlbStats, Vec<u8>);
+
+    /// One scenario's world: ring 0, 1 and 3 flat selectors, a page
+    /// directory identity-mapping `pages` (user-accessible unless listed
+    /// in `supervisor`), and an IDT hook at 0x30 for ring-3 exits.
+    struct World {
+        m: Machine,
+        fa: FrameAlloc,
+        cr3: u32,
+        rings: [(Selector, Selector); 4],
+        predecode: bool,
+        seen: Vec<Observed>,
+    }
+
+    impl World {
+        fn new(predecode: bool, pages: &[u32], supervisor: &[u32]) -> World {
+            let mut m = Machine::new();
+            let mut rings = [(Selector(0), Selector(0)); 4];
+            for ring in [0u8, 1, 3] {
+                let code = m.gdt.push(Descriptor::flat_code(ring));
+                let data = m.gdt.push(Descriptor::flat_data(ring));
+                rings[ring as usize] = (
+                    Selector::new(code, false, ring),
+                    Selector::new(data, false, ring),
+                );
+            }
+            let mut fa = FrameAlloc::new(0x100_0000, 0x140_0000);
+            let cr3 = fa.alloc().unwrap();
+            m.mem.zero(cr3, crate::mem::PAGE_SIZE);
+            for &page in pages.iter().chain(supervisor).chain(&[0x7000]) {
+                let user = if supervisor.contains(&page) {
+                    0
+                } else {
+                    pte::US
+                };
+                assert!(map_page(
+                    &mut m.mem,
+                    &mut fa,
+                    cr3,
+                    page,
+                    page,
+                    pte::RW | user
+                ));
+            }
+            m.mmu.set_cr3(cr3);
+            m.mmu.enabled = true;
+            m.idt[0x30] = Some(IdtGate { dpl: 3 });
+            m.set_predecode(predecode);
+            World {
+                m,
+                fa,
+                cr3,
+                rings,
+                predecode,
+                seen: Vec::new(),
+            }
+        }
+
+        /// Assembles `src` at `base` and returns its label addresses.
+        fn load(&mut self, base: u32, src: &str) -> BTreeMap<String, u32> {
+            let obj = Assembler::assemble(src).expect("asm");
+            assert!(self
+                .m
+                .host_write(base, &obj.link(base, &BTreeMap::new()).unwrap()));
+            obj.symbols
+                .iter()
+                .map(|(name, off)| (name.clone(), base + off))
+                .collect()
+        }
+
+        /// Enters `ring` at `eip` through flat segments, stack top 0x8000.
+        fn enter(&mut self, ring: u8, eip: u32) {
+            let (code, data) = self.rings[ring as usize];
+            self.m.force_seg_from_table(SegReg::Cs, code);
+            self.m.force_seg_from_table(SegReg::Ss, data);
+            self.m.force_seg_from_table(SegReg::Ds, data);
+            self.m.cpu.set_reg(Reg::Esp, 0x8000);
+            self.m.cpu.eip = eip;
+        }
+
+        /// Runs up to `budget` instructions and records the phase.
+        fn run(&mut self, phase: &str, budget: u64) -> Exit {
+            let exit = self.m.run(budget);
+            let m = &mut self.m;
+            self.seen.push(observe(phase, exit, m, self.predecode));
+            exit
+        }
+    }
+
+    fn observe(phase: &str, exit: Exit, m: &mut Machine, predecode: bool) -> Observed {
+        // The predecode flag is serialized: save under one setting.
+        if !predecode {
+            m.set_predecode(true);
+        }
+        let image = m.save_image();
+        m.set_predecode(predecode);
+        (
+            phase.to_string(),
+            exit,
+            m.cpu.eip,
+            m.cpu.regs,
+            m.cycles(),
+            m.insns(),
+            m.mmu.stats,
+            image,
+        )
+    }
+
+    /// Runs `scenario` with predecode on and off, asserts every phase
+    /// agrees, and returns the predecode-on world.
+    fn differential(name: &str, scenario: fn(&mut World)) -> World {
+        let worlds = [true, false].map(|predecode| {
+            let mut w = World::new(predecode, &[0x1000, 0x2000, 0x3000], &[0x5000]);
+            scenario(&mut w);
+            w
+        });
+        let [on, off] = worlds;
+        assert!(!on.seen.is_empty(), "{name}: no phase recorded");
+        assert_eq!(on.seen.len(), off.seen.len(), "{name}");
+        for (a, b) in on.seen.iter().zip(&off.seen) {
+            let state = |o: &Observed| (o.0.clone(), o.1, o.2, o.3, o.4, o.5, o.6);
+            assert_eq!(state(a), state(b), "{name}: phase diverged");
+            assert!(a.7 == b.7, "{name}: phase `{}` images differ", a.0);
+        }
+        let (_, served) = on.m.lazy_block_stats();
+        assert!(served > 0, "{name}: no instruction served from a block");
+        assert_eq!(
+            off.m.lazy_block_stats(),
+            (0, 0),
+            "{name}: byte-wise built blocks"
+        );
+        on
+    }
+
+    /// `src` with `{at}` replaced by the address of the 32-bit immediate
+    /// of the `add eax, 5` at label `patch`, assembled at 0x1000.
+    fn patched_src(src: &str) -> String {
+        let enc5 = enc("add eax, 5\n");
+        let enc9 = enc("add eax, 9\n");
+        let w = enc5.iter().zip(&enc9).position(|(a, b)| a != b).unwrap();
+        // Every operand is fixed-width, so the probe's layout is final.
+        let probe = Assembler::assemble(&src.replace("{at}", "0x99999999")).unwrap();
+        let at = 0x1000 + probe.symbols["patch"] + w as u32;
+        src.replace("{at}", &format!("{at:#x}"))
+    }
+
+    #[test]
+    fn guest_store_into_a_running_block() {
+        // Each iteration stores its counter into the immediate of the
+        // `add` two instructions further down the same block.
+        differential("guest smc", |w| {
+            let src = patched_src(
+                "mov ecx, 0\n\
+                 mov eax, 0\n\
+                 top:\n\
+                 add ecx, 1\n\
+                 mov [{at}], ecx\n\
+                 patch:\n\
+                 add eax, 5\n\
+                 cmp ecx, 10\n\
+                 jne top\n\
+                 int 0x30\n",
+            );
+            w.load(0x1000, &src);
+            w.enter(0, 0x1000);
+            assert_eq!(w.run("loop", 1_000), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 55, "every patched add ran");
+        });
+    }
+
+    #[test]
+    fn host_write_into_a_running_block() {
+        differential("host smc", |w| {
+            let labels = w.load(
+                0x1000,
+                "mov eax, 0\n\
+                 mov ecx, 0\n\
+                 top:\n\
+                 add ecx, 1\n\
+                 mov ebx, ecx\n\
+                 patch:\n\
+                 add eax, 5\n\
+                 cmp ecx, 20\n\
+                 jne top\n\
+                 int 0x30\n",
+            );
+            w.enter(0, 0x1000);
+            // Stop inside the block, before the add, on the 7th pass.
+            assert_eq!(w.run("before", 2 + 5 * 6 + 1), Exit::InsnLimit);
+            assert!(w.m.host_write(labels["patch"], &enc("add eax, 9\n")));
+            assert_eq!(w.run("after", 1_000), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 6 * 5 + 14 * 9);
+        });
+    }
+
+    #[test]
+    fn block_tail_past_the_cs_limit() {
+        differential("cs limit", |w| {
+            let src = "mov ecx, 3\n\
+                       top:\n\
+                       sub ecx, 1\n\
+                       cmp ecx, 0\n\
+                       jne top\n\
+                       mov eax, 1\n\
+                       cut:\n\
+                       mov ebx, 2\n\
+                       mov edx, 3\n\
+                       int 0x30\n";
+            let a = w.load(0x1000, src);
+            let b = w.load(0x3000, src);
+            let limited = |w: &mut World, cut: u32| {
+                let d = w.m.gdt.push(Descriptor::Code(crate::desc::CodeSeg {
+                    base: 0,
+                    limit: cut + 1,
+                    dpl: 0,
+                    readable: true,
+                    conforming: false,
+                    present: true,
+                }));
+                w.m.force_seg_from_table(SegReg::Cs, Selector::new(d, false, 0));
+            };
+            // Blocks built under the flat segment, then entered under a
+            // limit that cuts their tail: the entry guard refuses them,
+            // and the fetch of the cut instruction faults.
+            w.enter(0, 0x1000);
+            assert_eq!(w.run("flat", 100), Exit::IntHook(0x30));
+            w.enter(0, 0x1000);
+            limited(w, a["cut"]);
+            let exit = w.run("cut after build", 100);
+            assert!(
+                matches!(exit, Exit::Fault(f) if f.eip == a["cut"]),
+                "{exit:?}"
+            );
+            // Blocks first built under the limit stop short of it.
+            w.enter(0, 0x3000);
+            limited(w, b["cut"]);
+            let exit = w.run("cut before build", 100);
+            assert!(
+                matches!(exit, Exit::Fault(f) if f.eip == b["cut"]),
+                "{exit:?}"
+            );
+            w.enter(0, 0x3000);
+            assert_eq!(w.run("flat again", 100), Exit::IntHook(0x30));
+        });
+    }
+
+    #[test]
+    fn code_in_the_last_fetch_window_of_a_page() {
+        // Every alignment of a loop that runs through the last
+        // MAX_INSN_LEN bytes of one page into the next.
+        differential("page tail", |w| {
+            for start in 0x1FD8..0x1FF0 {
+                w.load(
+                    start,
+                    "mov ecx, 0\n\
+                     top:\n\
+                     add ecx, 1\n\
+                     add eax, ecx\n\
+                     mov ebx, 0x12345678\n\
+                     add edx, ebx\n\
+                     mov esi, eax\n\
+                     cmp ecx, 5\n\
+                     jne top\n\
+                     int 0x30\n",
+                );
+                w.enter(0, start);
+                assert_eq!(w.run("tail", 100), Exit::IntHook(0x30));
+            }
+        });
+    }
+
+    #[test]
+    fn fault_mid_block_then_resume() {
+        differential("fault mid-block", |w| {
+            w.load(
+                0x1000,
+                "mov ebx, 0x4000\n\
+                 top:\n\
+                 add ecx, 1\n\
+                 mov [ebx], ecx\n\
+                 add eax, ecx\n\
+                 cmp ecx, 5\n\
+                 jne top\n\
+                 int 0x30\n",
+            );
+            w.enter(0, 0x1000);
+            let exit = w.run("fault", 100);
+            assert!(matches!(exit, Exit::Fault(f) if f.cr2 == Some(0x4000)));
+            let cr3 = w.cr3;
+            assert!(map_page(
+                &mut w.m.mem,
+                &mut w.fa,
+                cr3,
+                0x4000,
+                0x4000,
+                pte::RW
+            ));
+            assert_eq!(w.run("resume", 100), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 15);
+        });
+    }
+
+    #[test]
+    fn cr3_switch_and_flush_page_remap_code() {
+        differential("remap", |w| {
+            let src = |k: u32| {
+                format!(
+                    "mov eax, 0\n\
+                     mov ecx, 3\n\
+                     top:\n\
+                     add eax, {k}\n\
+                     sub ecx, 1\n\
+                     cmp ecx, 0\n\
+                     jne top\n\
+                     int 0x30\n"
+                )
+            };
+            // Linear 0x6000 maps to frame 0x6000 in one directory and
+            // 0x9000 in the other; each frame holds its own program.
+            let (a, b) = (w.cr3, w.fa.alloc().unwrap());
+            w.m.mem.zero(b, crate::mem::PAGE_SIZE);
+            for page in [0x1000, 0x7000] {
+                assert!(map_page(&mut w.m.mem, &mut w.fa, b, page, page, pte::RW));
+            }
+            assert!(map_page(
+                &mut w.m.mem,
+                &mut w.fa,
+                a,
+                0x6000,
+                0x6000,
+                pte::RW
+            ));
+            assert!(map_page(
+                &mut w.m.mem,
+                &mut w.fa,
+                b,
+                0x6000,
+                0x9000,
+                pte::RW
+            ));
+            w.load(0x6000, &src(1));
+            w.m.mmu.set_cr3(b);
+            w.load(0x6000, &src(100));
+            for (phase, dir, want) in [("b", b, 300), ("a", a, 3), ("b again", b, 300)] {
+                w.m.mmu.set_cr3(dir);
+                w.enter(0, 0x6000);
+                assert_eq!(w.run(phase, 100), Exit::IntHook(0x30));
+                assert_eq!(w.m.cpu.reg(Reg::Eax), want, "{phase}");
+            }
+            // In `a`, point 0x6000 at `b`'s frame without a flush: the
+            // TLB keeps the old translation until `flush_page`.
+            w.m.mmu.set_cr3(a);
+            w.enter(0, 0x6000);
+            assert_eq!(w.run("warm a", 100), Exit::IntHook(0x30));
+            assert!(map_page(
+                &mut w.m.mem,
+                &mut w.fa,
+                a,
+                0x6000,
+                0x9000,
+                pte::RW
+            ));
+            w.enter(0, 0x6000);
+            assert_eq!(w.run("stale pte", 100), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 3);
+            w.m.mmu.flush_page(0x6000);
+            w.enter(0, 0x6000);
+            assert_eq!(w.run("flushed", 100), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 300);
+        });
+    }
+
+    #[test]
+    fn cpl_change_between_runs_of_one_block() {
+        // The same loop on a user page and on a supervisor page, entered
+        // at CPL 0, 1 and 3: CPL 3 faults fetching the supervisor copy.
+        differential("cpl", |w| {
+            let src = "mov ecx, 3\n\
+                       top:\n\
+                       add eax, ecx\n\
+                       sub ecx, 1\n\
+                       cmp ecx, 0\n\
+                       jne top\n\
+                       int 0x30\n";
+            w.load(0x1000, src);
+            w.load(0x5000, src);
+            for (phase, ring, eip) in [
+                ("sup cpl0", 0, 0x5000),
+                ("sup cpl3", 3, 0x5000),
+                ("user cpl3", 3, 0x1000),
+                ("user cpl0", 0, 0x1000),
+                ("sup cpl1", 1, 0x5000),
+                ("sup cpl3 again", 3, 0x5000),
+            ] {
+                w.enter(ring, eip);
+                let exit = w.run(phase, 100);
+                if phase.starts_with("sup cpl3") {
+                    assert!(matches!(exit, Exit::Fault(f) if f.cr2 == Some(0x5000)));
+                } else {
+                    assert_eq!(exit, Exit::IntHook(0x30), "{phase}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn fork_with_blocks_built_in_both_worlds() {
+        differential("fork", |w| {
+            let labels = w.load(
+                0x1000,
+                "mov eax, 0\n\
+                 mov ecx, 4\n\
+                 top:\n\
+                 patch:\n\
+                 add eax, 5\n\
+                 sub ecx, 1\n\
+                 cmp ecx, 0\n\
+                 jne top\n\
+                 int 0x30\n",
+            );
+            w.enter(0, 0x1000);
+            assert_eq!(w.run("template", 100), Exit::IntHook(0x30));
+            let parent = w.m.fork();
+            // The child rewrites the add; the parent keeps its blocks.
+            assert!(w.m.host_write(labels["patch"], &enc("add eax, 9\n")));
+            w.enter(0, 0x1000);
+            assert_eq!(w.run("child", 100), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 36);
+            let child = std::mem::replace(&mut w.m, parent);
+            w.enter(0, 0x1000);
+            assert_eq!(w.run("parent", 100), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 20);
+            w.m = child;
+            w.enter(0, 0x1000);
+            assert_eq!(w.run("child again", 100), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 36);
+        });
+    }
+
+    #[test]
+    fn block_store_stays_bounded_past_the_cap() {
+        // A chain of more two-instruction blocks than the store keeps,
+        // run twice: the store drops its blocks and rebuilds them.
+        const CHAIN: usize = MAX_LAZY_BLOCKS + 500;
+        let on = differential("cap", |w| {
+            let mut src = String::from("mov ecx, 2\ntop:\n");
+            for i in 0..CHAIN {
+                src.push_str(&format!("add eax, 1\njmp j{i}\nj{i}:\n"));
+            }
+            src.push_str("sub ecx, 1\ncmp ecx, 0\njne top\nint 0x30\n");
+            let cr3 = w.cr3;
+            for page in (0x8000..0x20000).step_by(0x1000) {
+                assert!(map_page(&mut w.m.mem, &mut w.fa, cr3, page, page, pte::RW));
+            }
+            w.load(0x8000, &src);
+            w.enter(0, 0x8000);
+            assert_eq!(w.run("chain", 100_000), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 2 * CHAIN as u32);
+        });
+        let (blocks, served) = on.m.lazy_block_stats();
+        assert!(blocks <= MAX_LAZY_BLOCKS, "{blocks} blocks stored");
+        assert!(served > 2 * CHAIN as u64, "the second pass was served");
     }
 }

@@ -119,6 +119,21 @@ fn scratch_world_probes_run_under_fork_boot() {
     assert_eq!(campaign::summarize(&fork), campaign::summarize(&cold));
 }
 
+/// The restore-gate probe on a live kernel image: hostile-writer images,
+/// every CRC valid, restore or fail with a typed error, never a panic.
+#[test]
+fn hostile_restore_probe_passes_on_a_live_kernel_image() {
+    let mut k = Kernel::boot();
+    let mut kx = KernelExtensions::new(&mut k).expect("kext init");
+    let seg = kx.create_segment(&mut k, 4).expect("segment");
+    kx.insmod(&mut k, seg, "m", &lcall_object(0), &["entry"])
+        .expect("insmod");
+    let img = k.save_image();
+    let mut r = seedrng::SeedRng::new(0x4057_11E0);
+    let v = chaos::oracle::probe_hostile_restore(&img, 64, &mut r);
+    assert!(v.is_empty(), "{v:?}");
+}
+
 // --- descriptor revocation: #NP on the next far call ---------------------
 
 /// An extension object whose `entry` far-calls through `sel`.
