@@ -107,7 +107,7 @@ impl std::error::Error for SpawnError {}
 /// [`Machine::fork`]), frame allocator, tasks, kernel VA state — so a
 /// warmed kernel can be snapshotted once and cloned per shard or
 /// replica in microseconds instead of paying `Kernel::boot` each time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Kernel {
     /// The simulated machine.
     pub m: Machine,
@@ -136,8 +136,9 @@ pub struct Kernel {
     tasks: std::sync::Arc<BTreeMap<Tid, Task>>,
     current: Option<Tid>,
     next_tid: Tid,
-    /// Preallocated kernel page-directory entries, shared by every task.
-    kernel_pdes: Vec<(u32, u32)>,
+    /// Preallocated kernel page-directory entries, shared by every task
+    /// (and, read-only after boot, by every fork).
+    kernel_pdes: std::sync::Arc<[(u32, u32)]>,
     /// Page directory used when no task is current.
     kernel_cr3: u32,
     /// Kernel dynamic VA bump pointer.
@@ -146,6 +147,33 @@ pub struct Kernel {
     /// bump pointer advances (most recently freed first, so allocation is
     /// deterministic across reclaim cycles).
     kva_free: Vec<(u32, u32)>,
+}
+
+/// Written out rather than derived: a derived `clone` is `#[inline]`,
+/// so every crate that forks a kernel would compile its own copy of it,
+/// and in a build without optimization (the `bench` and `webserver`
+/// crates under `cargo test`) that copy is several times slower. This
+/// one is compiled once, here.
+impl Clone for Kernel {
+    fn clone(&self) -> Kernel {
+        Kernel {
+            m: self.m.clone(),
+            frames: self.frames.clone(),
+            costs: self.costs.clone(),
+            sel: self.sel,
+            console: self.console.clone(),
+            stats: self.stats,
+            extension_cycle_limit: self.extension_cycle_limit,
+            last_fault: self.last_fault,
+            tasks: std::sync::Arc::clone(&self.tasks),
+            current: self.current,
+            next_tid: self.next_tid,
+            kernel_pdes: std::sync::Arc::clone(&self.kernel_pdes),
+            kernel_cr3: self.kernel_cr3,
+            kva_next: self.kva_next,
+            kva_free: self.kva_free.clone(),
+        }
+    }
 }
 
 impl Kernel {
@@ -222,7 +250,7 @@ impl Kernel {
             tasks: std::sync::Arc::new(BTreeMap::new()),
             current: None,
             next_tid: 1,
-            kernel_pdes,
+            kernel_pdes: kernel_pdes.into(),
             kernel_cr3,
             kva_next: KERNEL_VA_START,
             kva_free: Vec::new(),
@@ -455,7 +483,7 @@ impl Kernel {
     fn new_page_directory(&mut self) -> Result<u32, SpawnError> {
         let pd = self.frames.alloc().ok_or(SpawnError::OutOfMemory)?;
         self.m.mem.zero(pd, PAGE_SIZE);
-        for (idx, val) in &self.kernel_pdes {
+        for (idx, val) in self.kernel_pdes.iter() {
             self.m.mem.write_u32(pd + idx * 4, *val);
         }
         Ok(pd)
@@ -1369,8 +1397,8 @@ impl Kernel {
     /// [`base::KERNEL`]): the frame allocator, cost table, selectors,
     /// console, statistics, the task table and the kernel-VA allocator.
     ///
-    /// The machine sections already exclude derived state (predecode
-    /// caches, translation memos); the kernel adds nothing derived of
+    /// The machine sections already exclude derived state (block
+    /// tokens, translation memos); the kernel adds nothing derived of
     /// its own, so a restored kernel is cycle- and stat-identical going
     /// forward.
     pub fn save_sections(&self, b: &mut ImageBuilder) {
@@ -1457,7 +1485,7 @@ impl Kernel {
 
         let mut e = Enc::new();
         e.u32(self.kernel_pdes.len() as u32);
-        for (idx, val) in &self.kernel_pdes {
+        for (idx, val) in self.kernel_pdes.iter() {
             e.u32(*idx);
             e.u32(*val);
         }
@@ -1597,7 +1625,7 @@ impl Kernel {
             tasks: std::sync::Arc::new(tasks),
             current,
             next_tid,
-            kernel_pdes,
+            kernel_pdes: kernel_pdes.into(),
             kernel_cr3,
             kva_next,
             kva_free,

@@ -187,7 +187,7 @@ impl Session {
     /// sections plus the application's extension tables — into one
     /// standalone, integrity-checked byte image.
     ///
-    /// Derived caches (predecode, translation memos) are deliberately
+    /// Derived state (block tokens, translation memos) is deliberately
     /// excluded; a [`restore`](Self::restore)d session is cycle-, stat-
     /// and fault-identical going forward regardless.
     pub fn checkpoint(&self) -> Vec<u8> {

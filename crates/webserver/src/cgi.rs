@@ -15,6 +15,7 @@
 //! start-up, not assumed.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use asm86::Assembler;
 use minikernel::Kernel;
@@ -165,8 +166,10 @@ pub struct WebServer {
     /// Warm protected-call cycles, measured at start-up.
     pub protected_call_cycles: u64,
     files: BTreeMap<String, Vec<u8>>,
-    /// Dynamic endpoints by path.
-    dynamic: BTreeMap<String, DynamicEndpoint>,
+    /// Dynamic endpoints by path. Behind an `Arc` so a fork shares the
+    /// table copy-on-write, like the rest of the world, until it
+    /// registers or degrades an endpoint.
+    dynamic: Arc<BTreeMap<String, DynamicEndpoint>>,
     /// How long (simulated cycles) a faulted endpoint with a fallback
     /// stays degraded before the server reinstalls its script.
     pub degraded_window: u64,
@@ -210,7 +213,7 @@ impl WebServer {
             link: Link::default(),
             protected_call_cycles,
             files: BTreeMap::new(),
-            dynamic: BTreeMap::new(),
+            dynamic: Arc::default(),
             degraded_window: 10_000,
             degraded_responses: 0,
             cgi_restarts: 0,
@@ -297,13 +300,13 @@ impl WebServer {
             .dlopen(&mut self.k, script, &DlopenOptions::new())?;
         let prep = self.app.seg_dlsym(&mut self.k, h, entry)?;
         let unprot = self.app.install_app_code(&mut self.k, script)?[entry];
-        self.dynamic.insert(
+        Arc::make_mut(&mut self.dynamic).insert(
             path.to_string(),
             DynamicEndpoint {
                 prep,
                 unprot,
                 handle: h,
-                script: std::sync::Arc::new(script.clone()),
+                script: Arc::new(script.clone()),
                 entry: entry.to_string(),
                 fallback,
                 degraded_until: None,
@@ -360,7 +363,7 @@ impl WebServer {
         match reinstalled {
             Ok((h, prep)) => {
                 self.cgi_restarts += 1;
-                let e = self.dynamic.get_mut(path).unwrap();
+                let e = Arc::make_mut(&mut self.dynamic).get_mut(path).unwrap();
                 e.handle = h;
                 e.prep = prep;
                 e.degraded_until = None;
@@ -368,7 +371,10 @@ impl WebServer {
             }
             Err(_) => {
                 let again = self.k.m.cycles() + self.degraded_window;
-                self.dynamic.get_mut(path).unwrap().degraded_until = Some(again);
+                Arc::make_mut(&mut self.dynamic)
+                    .get_mut(path)
+                    .unwrap()
+                    .degraded_until = Some(again);
                 Some(self.fallback_response(req, fb, model))
             }
         }
@@ -428,7 +434,10 @@ impl WebServer {
                     let fb = self.dynamic[&path].fallback.clone();
                     if let Some(fb) = fb {
                         let until = self.k.m.cycles() + self.degraded_window;
-                        self.dynamic.get_mut(&path).unwrap().degraded_until = Some(until);
+                        Arc::make_mut(&mut self.dynamic)
+                            .get_mut(&path)
+                            .unwrap()
+                            .degraded_until = Some(until);
                         return Ok(self.fallback_response(req, fb, model));
                     }
                 }
@@ -797,7 +806,10 @@ mod dynamic_tests {
              ret\n",
         )
         .unwrap();
-        s.dynamic.get_mut("/svc").unwrap().script = std::sync::Arc::new(fixed);
+        Arc::make_mut(&mut s.dynamic)
+            .get_mut("/svc")
+            .unwrap()
+            .script = Arc::new(fixed);
 
         s.k.m.charge(1_001);
         let r = s

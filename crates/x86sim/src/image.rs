@@ -39,7 +39,7 @@
 //! a typed [`RestoreError`], never a partially-initialized world or an
 //! unbounded allocation.
 //!
-//! What is deliberately **not** in an image: predecode caches, page
+//! What is deliberately **not** in an image: block tokens, page
 //! translation memos, execution traces, and per-frame code
 //! generations. All of it is host-side derived state, rebuilt on demand;
 //! the memo/stat accounting is constructed so its absence is invisible

@@ -32,7 +32,6 @@ pub mod image;
 pub mod machine;
 pub mod mem;
 pub mod paging;
-pub mod predecode;
 pub mod proof;
 pub mod trace;
 mod xfer;
@@ -44,9 +43,8 @@ pub use cycles::{cycles_to_us, us_to_cycles, Event, CLOCK_HZ};
 pub use desc::{CallGate, CodeSeg, DataSeg, Descriptor, DescriptorTable, Selector};
 pub use fault::{Fault, FaultCause, Vector};
 pub use image::RestoreError;
-pub use machine::{Cpu, Exit, Flags, IdtGate, Machine, SegCache, Snapshot, Tss};
+pub use machine::{Cpu, Exit, Flags, IdtGate, Machine, PredecodeStats, SegCache, Snapshot, Tss};
 pub use mem::{FrameAlloc, PhysMem, PAGE_SIZE};
 pub use paging::{pte, Access, Mmu};
-pub use predecode::PredecodeStats;
 pub use proof::{ProofDs, ProofInstallError, ProofStats};
 pub use trace::{Trace, TraceRecord};

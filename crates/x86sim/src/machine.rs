@@ -14,7 +14,6 @@ use crate::fault::{Fault, FaultBuilder, FaultCause};
 use crate::image::{self, base, kind, Enc, ImageBuilder, ImageView, RestoreError};
 use crate::mem::{PhysMem, PAGE_MASK, PAGE_SIZE};
 use crate::paging::{Access, Mmu};
-use crate::predecode::{InsnCache, PredecodeStats};
 use crate::proof::{
     BlockToken, ProofDs, ProofInstallError, ProofRun, ProofStats, TokenInsn, MAX_BLOCK_INSNS,
     MAX_LAZY_BLOCKS,
@@ -24,6 +23,27 @@ use std::sync::Arc;
 
 /// Longest possible instruction encoding, in bytes.
 pub const MAX_INSN_LEN: usize = 12;
+
+/// Host-side counters of the fetch fast path: instructions served from
+/// lazily built blocks, fetches decoded uncached, and the machine's
+/// translation-table misses.
+///
+/// Purely observational: they exist so benchmarks and tests can see the
+/// fast path working, and are deliberately *not* part of the simulated
+/// machine state.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PredecodeStats {
+    /// Instructions served from lazily built blocks (and from verifier
+    /// tokens while proof elision is off).
+    pub hits: u64,
+    /// Fetches no block served, decoded from memory by the fast path
+    /// (always 0 with predecode off: the byte-wise baseline counts
+    /// nothing).
+    pub misses: u64,
+    /// Fetch and data translations that missed the machine's
+    /// direct-mapped translation tables and walked the MMU.
+    pub translation_misses: u64,
+}
 
 /// Arithmetic flags.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -225,7 +245,7 @@ pub enum Exit {
 ///
 /// `Clone` is the world snapshot/fork primitive (see
 /// [`Machine::snapshot`] / [`Machine::fork`]): physical frame payloads,
-/// the predecode cache and the translation tables are shared
+/// the block store and the translation tables are shared
 /// copy-on-write, everything else — CPU, descriptor tables, TLB,
 /// counters — is copied, so a fork
 /// resumes byte-identically to the world it was taken from and its
@@ -254,8 +274,10 @@ pub struct Machine {
     cycles: u64,
     insns: u64,
     trace: Option<Trace>,
-    icache: InsnCache,
     predecode: bool,
+    /// Host-only count of fetches the fast path decoded uncached
+    /// (reported in [`PredecodeStats::misses`]). Never serialized.
+    decodes: u64,
     /// Direct-mapped translation tables for code fetches, data reads
     /// and data writes; each entry stays valid while the TLB epoch,
     /// privilege and PKRU are unchanged (see [`PageMemo`]).
@@ -266,7 +288,7 @@ pub struct Machine {
     memo_misses: u64,
     /// Block tokens, verifier-installed and lazily built, keyed by
     /// physical block start. Shared copy-on-write across forks like the
-    /// predecode slot array.
+    /// translation tables.
     blocks: crate::proof::BlockMap,
     /// The token run in progress, if the last fetch was served from one.
     proof_run: Option<ProofRun>,
@@ -465,8 +487,8 @@ impl Machine {
             cycles: 0,
             insns: 0,
             trace: None,
-            icache: InsnCache::new(),
             predecode: true,
+            decodes: 0,
             tables: Arc::new(Tables {
                 fetch: MemoTable::EMPTY,
                 read: MemoTable::EMPTY,
@@ -528,8 +550,8 @@ impl Machine {
     /// Forks a new world from this one in microseconds.
     ///
     /// Frame payloads are shared copy-on-write and materialize
-    /// privately on first write in either world. The predecode cache
-    /// and translation tables carry over — they key on physical
+    /// privately on first write in either world. The block store and
+    /// the translation tables carry over — they key on physical
     /// addresses and slab slots, both preserved by the fork, and are
     /// invalidated per-frame by the same store/code generations as
     /// always — so a forked world is cycle/stat/fault byte-identical
@@ -555,7 +577,7 @@ impl Machine {
     /// The sections carry every piece of *architectural* state: CPU,
     /// descriptor tables, IDT, TSS, the MMU with its live TLB (sorted by
     /// VPN), the cycle/instruction counters, and only the materialized
-    /// physical frames (sorted by frame number). The predecode cache,
+    /// physical frames (sorted by frame number). The block store,
     /// translation memos and any live trace are deliberately excluded —
     /// they are derived host-side state, rebuilt on demand, and their
     /// absence is invisible to cycle accounting and statistics (memo hits
@@ -634,7 +656,7 @@ impl Machine {
     /// truncation, a torn write, transposed sections, a version or kind
     /// mismatch — yields a typed [`RestoreError`] and no world. A
     /// successful restore resumes cycle/stat/fault byte-identically to
-    /// the world that was saved; the predecode cache and translation
+    /// the world that was saved; the block store and translation
     /// memos start cold and are rebuilt on demand.
     pub fn restore_sections(v: &ImageView<'_>) -> Result<Machine, RestoreError> {
         let mut m = Machine::new();
@@ -711,13 +733,12 @@ impl Machine {
     ///
     /// This is a *host* performance knob: simulated semantics and cycle
     /// accounting are identical either way (the determinism tests assert
-    /// it). Disabling clears the cache, drops the lazily built blocks and
-    /// falls back to the byte-wise fetch, which the throughput benchmark
-    /// uses as its baseline.
+    /// it). Disabling drops the lazily built blocks and falls back to
+    /// the byte-wise fetch, which the throughput benchmark uses as its
+    /// baseline.
     pub fn set_predecode(&mut self, on: bool) {
         self.predecode = on;
         if !on {
-            self.icache.clear();
             self.proof_run = None;
             if self.blocks.len() > self.proof_token_count() {
                 Arc::make_mut(&mut self.blocks).retain(|_, t| t.verified);
@@ -725,16 +746,14 @@ impl Machine {
         }
     }
 
-    /// Host-side counters of the predecode fast path: predecode cache
-    /// hits and misses, and translation-table misses. Instructions served
+    /// Host-side counters of the fetch fast path: instructions served
     /// from lazily built blocks (or from verifier tokens while proof
-    /// elision is off) count as hits.
+    /// elision is off), uncached decodes, and translation-table misses.
     pub fn predecode_stats(&self) -> PredecodeStats {
-        let cache = self.icache.stats();
         PredecodeStats {
-            hits: cache.hits + self.block_served[0],
+            hits: self.block_served[0],
+            misses: self.decodes,
             translation_misses: self.memo_misses,
-            ..cache
         }
     }
 
@@ -774,7 +793,7 @@ impl Machine {
         if tiled != len as usize {
             return Err(ProofInstallError::BadBytes);
         }
-        // Track self-modification exactly like the predecode cache: mark
+        // Track self-modification exactly like a lazily built block: mark
         // the bytes as code and snapshot the slot's code generation.
         let slot = self.mem.ensure_frame_slot(phys);
         self.mem
@@ -1275,17 +1294,18 @@ impl Machine {
     /// page shares its translation). A translation fault on the *second*
     /// page is deferred: the decoder runs on the bytes that are mapped,
     /// and the #PF is raised only if the instruction actually needed the
-    /// missing bytes. Successful decodes are served from the predecode
-    /// cache on subsequent fetches (see [`crate::predecode`]).
+    /// missing bytes.
     ///
-    /// The fetched record holds the instruction, its length and its base
-    /// cycle cost — [`cycles::measured_cost`], memoized in the predecode
-    /// cache so a hit does not re-derive it.
+    /// With predecode on, a fetch is either served from a block token
+    /// (see [`crate::proof`]) or decoded uncached from memory; with it
+    /// off, the byte-wise baseline decodes every fetch. The fetched
+    /// record holds the instruction, its length and its base cycle cost
+    /// ([`cycles::measured_cost`], precomputed in a block token).
     ///
-    /// Only the hit paths are inlined into the run loop: the block-token
+    /// Only the block paths are inlined into the run loop: the token
     /// continuation, the expand-up window, the memoized translation and
-    /// the predecode hit. Misses, the byte-wise baseline and the
-    /// expand-down probe are separate functions.
+    /// a block activation. The uncached decode, the byte-wise baseline
+    /// and the expand-down probe are separate functions.
     #[inline(always)]
     fn fetch(&mut self) -> Result<(), FaultBuilder> {
         self.ds_elide_now = false;
@@ -1294,7 +1314,7 @@ impl Machine {
         // inputs are provably unchanged (segment-write generation, MMU
         // epoch, code generation) everything below — including the CS
         // validity check, the window computation, the translation and
-        // the cache lookups — would reproduce what the run already
+        // the block-map probe — would reproduce what the run already
         // verified, so it is skipped wholesale. This is where the
         // hoisting pays: a served instruction costs a handful of
         // compares. Falls through to the full path on any mismatch.
@@ -1337,10 +1357,8 @@ impl Machine {
             return self.fetch_bytewise(&cs, eip, window);
         }
 
-        // Translate once per page touched by the permitted window. A
-        // fault on the first page is fatal (not even one byte can be
-        // fetched); a fault on the second is recorded and raised only if
-        // the decoder runs out of bytes.
+        // Translate the window's first page: a fault here is fatal (not
+        // even one byte can be fetched).
         let phys0 = self.translate_fetch_fast(lin0)?;
 
         // Block fast path: serve the instruction from a block token when
@@ -1353,57 +1371,39 @@ impl Machine {
         if self.proof_serve(phys0, eip, &cs) {
             return Ok(());
         }
-        let page_rem = (PAGE_SIZE - (lin0 & PAGE_MASK)) as usize;
-        let n_lo = window.min(page_rem);
-        let mut hi_page: Option<u32> = None;
-        let mut pending: Option<FaultBuilder> = None;
-        if window > n_lo {
-            match self.translate_fetch(lin0.wrapping_add(n_lo as u32)) {
-                Ok(p) => hi_page = Some(p),
-                Err(fb) => pending = Some(fb),
-            }
-        }
-
-        if let Some((insn, len, cost)) = self.icache.lookup(&self.mem, phys0, window, hi_page) {
-            self.fetched = TokenInsn { insn, len, cost };
-            return Ok(());
-        }
-        self.fetch_decode(phys0, window, n_lo, hi_page, pending)
+        self.fetch_decode(&cs, eip, window, phys0)
     }
 
-    /// Predecode miss: copies the window's bytes (`n_lo` of them from the
-    /// first page, the rest from `hi_page`), decodes them and caches the
-    /// result. `pending` is the deferred second-page fault.
+    /// A fetch no block served: copies the `window` bytes at `eip`
+    /// (first page at `phys0`) and decodes them uncached. The second
+    /// page, when the window crosses one, is translated here; a fault
+    /// on it is deferred to [`Machine::decode_fetched`], which raises it
+    /// only if the decoder needed the missing bytes.
     #[inline(never)]
     fn fetch_decode(
         &mut self,
-        phys0: u32,
+        cs: &SegCache,
+        eip: u32,
         window: usize,
-        n_lo: usize,
-        hi_page: Option<u32>,
-        pending: Option<FaultBuilder>,
+        phys0: u32,
     ) -> Result<(), FaultBuilder> {
+        self.decodes += 1;
+        let lin0 = cs.base.wrapping_add(eip);
+        let n_lo = window.min((PAGE_SIZE - (lin0 & PAGE_MASK)) as usize);
         let mut buf = [0u8; MAX_INSN_LEN];
         copy_page_bytes(&self.mem, phys0, &mut buf[..n_lo]);
         let mut n = n_lo;
-        if let Some(h) = hi_page {
-            copy_page_bytes(&self.mem, h, &mut buf[n_lo..window]);
-            n = window;
-        }
-        match decode(&buf[..n]) {
-            Ok((insn, len)) => {
-                self.icache
-                    .insert(&mut self.mem, phys0, insn, len as u32, hi_page);
-                self.fetched = TokenInsn {
-                    insn,
-                    len: len as u32,
-                    cost: cycles::measured_cost(&insn),
-                };
-                Ok(())
+        let mut pending = None;
+        if window > n_lo {
+            match self.translate_fetch(lin0.wrapping_add(n_lo as u32)) {
+                Ok(h) => {
+                    copy_page_bytes(&self.mem, h, &mut buf[n_lo..window]);
+                    n = window;
+                }
+                Err(fb) => pending = Some(fb),
             }
-            Err(DecodeError::Truncated) if pending.is_some() => Err(pending.unwrap()),
-            Err(_) => Err(Fault::ud(FaultCause::BadInstruction)),
         }
+        self.decode_fetched(&buf[..n], cs, eip, window, pending)
     }
 
     /// Byte-wise fetch: the pre-fast-path reference implementation, kept
@@ -1447,7 +1447,24 @@ impl Machine {
             // The very first byte is unmapped: nothing to decode.
             return Err(pending.expect("window > 0, so the loop ran"));
         }
-        match decode(&buf[..n]) {
+        self.decode_fetched(&buf[..n], cs, eip, window, pending)
+    }
+
+    /// Decodes the prefetched `bytes` of the instruction at `eip` into
+    /// `self.fetched`: the shared tail of [`Machine::fetch_decode`] and
+    /// [`Machine::fetch_bytewise`]. A decode that runs out of bytes
+    /// raises what cut the prefetch short: the deferred second-page
+    /// fault `pending` if there is one, else #GP(0) when the CS limit
+    /// clipped the `window` (the instruction straddles the limit).
+    fn decode_fetched(
+        &mut self,
+        bytes: &[u8],
+        cs: &SegCache,
+        eip: u32,
+        window: usize,
+        pending: Option<FaultBuilder>,
+    ) -> Result<(), FaultBuilder> {
+        match decode(bytes) {
             Ok((insn, len)) => {
                 self.fetched = TokenInsn {
                     insn,
@@ -1456,7 +1473,17 @@ impl Machine {
                 };
                 Ok(())
             }
-            Err(DecodeError::Truncated) if pending.is_some() => Err(pending.unwrap()),
+            Err(DecodeError::Truncated) => Err(match pending {
+                Some(fb) => fb,
+                None if window < MAX_INSN_LEN => Fault::gp(
+                    0,
+                    FaultCause::LimitViolation {
+                        offset: eip.wrapping_add(window as u32),
+                        limit: cs.limit,
+                    },
+                ),
+                None => Fault::ud(FaultCause::BadInstruction),
+            }),
             Err(_) => Err(Fault::ud(FaultCause::BadInstruction)),
         }
     }
@@ -1593,7 +1620,7 @@ impl Machine {
 
     /// Hot path of [`Machine::proof_serve`]: continues an active run —
     /// or re-arms a completed one across a loop back edge — without the
-    /// window computation, translation or cache lookups of the full
+    /// window computation, translation or block-map probe of the full
     /// fetch path. Sound because every input those steps depend on is
     /// compared against the values the run verified when it last went
     /// through the full path: the segment-write generation (so the

@@ -6,12 +6,12 @@
 //! Every mutation of a frame (guest stores, host writes, the loader,
 //! page-table updates, fault injection) funnels through [`PhysMem`]'s
 //! store paths. Each frame carries a *code generation*, bumped only when
-//! a store overlaps bytes a cached decode actually consumed (tracked
-//! byte-exactly in a per-frame code mask). It is pure host-side
-//! bookkeeping: it never affects simulated semantics or cycle
-//! accounting. The predecoded-instruction cache ([`crate::predecode`])
-//! validates against it to notice self-modifying code without being
-//! invalidated by stacks or data that merely share a page with code.
+//! a store overlaps bytes a block token predecoded (tracked byte-exactly
+//! in a per-frame code mask). It is pure host-side bookkeeping: it never
+//! affects simulated semantics or cycle accounting. Block tokens
+//! ([`crate::proof`]) validate against it to notice self-modifying code
+//! without being invalidated by stacks or data that merely share a page
+//! with code.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -38,10 +38,9 @@ pub fn pages_for(len: u32) -> u32 {
 /// A fast hasher for the simulator's u32-keyed maps (frame numbers,
 /// virtual page numbers, physical addresses).
 ///
-/// The TLB, the physical-frame map and the predecode cache are the
-/// hottest hash lookups in the whole simulator — one of each per
-/// simulated instruction — so SipHash's per-lookup cost dominates the
-/// step loop. The keys are simulated addresses, not attacker-controlled
+/// The TLB, the physical-frame map and the block store are the hottest
+/// hash lookups in the whole simulator, so SipHash's per-lookup cost
+/// dominates the step loop. The keys are simulated addresses, not attacker-controlled
 /// host input, so a multiply–xor mix is safe and much cheaper.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct U32Hasher(u64);
@@ -68,7 +67,7 @@ impl Hasher for U32Hasher {
 /// `BuildHasher` for [`U32Hasher`].
 pub type U32HashBuilder = BuildHasherDefault<U32Hasher>;
 
-/// Byte-granular bitmap of a frame's cached-code bytes: bit `i` of word
+/// Byte-granular bitmap of a frame's predecoded bytes: bit `i` of word
 /// `i / 64` covers byte `i`. Allocated lazily — most frames never hold
 /// executed code and pay nothing.
 type CodeMask = Box<[u64; (PAGE_SIZE / 64) as usize]>;
@@ -84,7 +83,7 @@ fn span_bits(lo: usize, hi: usize) -> u64 {
 }
 
 /// One backed frame: its bytes, and the code generation + mask driving
-/// predecode invalidation.
+/// block invalidation.
 ///
 /// The payload lives behind an `Arc` so cloning a [`PhysMem`] (a world
 /// snapshot/fork) shares the 4 KB byte arrays instead of copying them:
@@ -96,8 +95,8 @@ fn span_bits(lo: usize, hi: usize) -> u64 {
 #[derive(Debug, Clone)]
 struct Frame {
     data: Arc<[u8; PAGE_SIZE as usize]>,
-    /// Bumped only by stores that overlap bytes a cached decode consumed
-    /// (per `code_mask`); the generation the predecode cache validates.
+    /// Bumped only by stores that overlap predecoded bytes (per
+    /// `code_mask`); the generation block tokens validate.
     code_gen: u64,
     code_mask: Option<CodeMask>,
 }
@@ -121,9 +120,9 @@ impl Frame {
     }
 
     /// Records a store of `len` bytes at page offset `off`: bumps the
-    /// code generation only when the store overlaps cached-code bytes
+    /// code generation only when the store overlaps predecoded bytes
     /// (byte-exact, so data that merely shares a page with code — stacks,
-    /// save slots, patch targets — never invalidates decodes). Returns whether the code generation
+    /// save slots, patch targets — never invalidates blocks). Returns whether the code generation
     /// moved, so the owning [`PhysMem`] can advance its global
     /// code-invalidation epoch.
     fn note_store(&mut self, off: usize, len: usize) -> bool {
@@ -133,8 +132,8 @@ impl Frame {
                 let lo = if w == off >> 6 { off & 63 } else { 0 };
                 let hi = if w == last >> 6 { last & 63 } else { 63 };
                 if mask[w] & span_bits(lo, hi) != 0 {
-                    // Every cached decode from this frame is now suspect;
-                    // invalidate them all and let fetches re-mark.
+                    // Every block predecoded from this frame is now
+                    // suspect; invalidate them all and let rebuilds re-mark.
                     self.code_gen += 1;
                     mask.fill(0);
                     return true;
@@ -153,23 +152,23 @@ impl Frame {
 /// exactly as on real hardware.
 ///
 /// Frames live in a `Vec` and are never freed, so a frame's slab slot is
-/// a stable identity for its whole lifetime. The predecode cache stores
-/// slot numbers and revalidates with [`PhysMem::slot_code_generation`] —
-/// a bounds-checked array read instead of a hash lookup on the fetch
+/// a stable identity for its whole lifetime. Block tokens store slot
+/// numbers and revalidate with [`PhysMem::slot_code_generation`] — a
+/// bounds-checked array read instead of a hash lookup on the fetch
 /// path.
 ///
 /// `Clone` is the snapshot/fork primitive, and it is two refcount
 /// bumps: the index and the frame table are both shared copy-on-write.
 /// The first mutation in either world materializes a private frame
-/// table (slot numbers — and therefore carried-over predecode entries
-/// and translation memos — stay valid), and the 4 KB payloads stay
+/// table (slot numbers — and therefore carried-over block tokens and
+/// translation memos — stay valid), and the 4 KB payloads stay
 /// shared beneath it until individually written (`Frame::data_mut`).
 #[derive(Debug, Default, Clone)]
 pub struct PhysMem {
     index: Arc<HashMap<u32, u32, U32HashBuilder>>,
     slabs: Arc<Vec<Frame>>,
     /// Host-side epoch advanced whenever *any* frame's code generation
-    /// moves (a store overlapped cached-code bytes). While it is
+    /// moves (a store overlapped predecoded bytes). While it is
     /// unchanged, every per-slot code generation is unchanged too, so
     /// per-fetch revalidation can be one inline compare instead of a
     /// slab walk ([`PhysMem::code_epoch`]). Never serialized; it is
@@ -250,8 +249,8 @@ impl PhysMem {
     }
 
     /// The *code* generation of the frame in slab slot `slot` (0 for an
-    /// out-of-range slot). One array read — the predecode cache's
-    /// per-fetch validation. It only moves when a store overlapped bytes
+    /// out-of-range slot). One array read — a block token's validation
+    /// on activation. It only moves when a store overlapped bytes
     /// marked by [`PhysMem::mark_code`].
     #[inline]
     pub fn slot_code_generation(&self, slot: u32) -> u64 {
@@ -269,7 +268,7 @@ impl PhysMem {
     }
 
     /// Marks `len` bytes at page offset `off` of slab slot `slot` as
-    /// consumed by a cached decode: later stores overlapping them bump
+    /// predecoded into a block token: later stores overlapping them bump
     /// the slot's code generation.
     pub fn mark_code(&mut self, slot: u32, off: usize, len: usize) {
         debug_assert!(len > 0 && off + len <= PAGE_SIZE as usize);
@@ -464,8 +463,8 @@ impl PhysMem {
     /// accidents).
     ///
     /// Code generations and code masks are *not* serialized: they
-    /// exist only to invalidate the predecode cache, which a restored
-    /// world rebuilds from scratch.
+    /// exist only to invalidate block tokens, which a restored world
+    /// rebuilds from scratch.
     pub(crate) fn save_into(&self, e: &mut Enc) {
         let mut pages: Vec<(u32, u32)> = self.index.iter().map(|(&p, &s)| (p, s)).collect();
         pages.sort_unstable_by_key(|&(p, _)| p);
@@ -704,7 +703,7 @@ mod tests {
     #[test]
     fn store_generations_track_every_mutation_path() {
         // Every mutation path funnels through `note_store`: with the
-        // whole frame marked as cached code, each store must bump the
+        // whole frame marked as predecoded, each store must bump the
         // frame's code generation (a bump clears the mask, so re-mark).
         let mut m = PhysMem::new();
         let a = m.ensure_frame_slot(0x5000);

@@ -5,8 +5,8 @@
 //! physical address of its first byte. The fetch path serves a block's
 //! instructions from the token while a single *hoisted* entry guard —
 //! evaluated once at block entry instead of once per fetch — stands in
-//! for the per-instruction CS window check, translation and predecode
-//! lookup. Tokens come from two places:
+//! for the per-instruction CS window check, translation and decode.
+//! Tokens come from two places:
 //!
 //! - **Lazily built blocks.** A full-path fetch that finds no token at
 //!   its physical address decodes the straight-line block starting there
@@ -26,9 +26,8 @@
 //!   instructions served from lazily built blocks count as predecode
 //!   hits.
 //!
-//! This is a **host** fast path with the same contract as the predecode
-//! cache: simulated cycles, statistics and faults are byte-identical
-//! with tokens on or off, because every check it skips is one whose
+//! This is a **host** fast path: simulated cycles, statistics and faults
+//! are byte-identical with tokens on or off, because every check it skips is one whose
 //! outcome the entry guard (plus, for DS elision, the proof)
 //! predetermines, and the skipped work never charged simulated cycles in
 //! the first place. The differential soundness fuzzer in `chaos` holds
@@ -36,8 +35,7 @@
 //! serves blocks but elides no DS check, so any divergence is an
 //! unsoundness finding against the verifier.
 //!
-//! Invalidation reuses the machinery that already polices the predecode
-//! cache:
+//! Invalidation:
 //!
 //! - **Self-modifying code** — a token records the code generation of
 //!   its frame's slab slot when it is built; every activation revalidates
@@ -120,7 +118,7 @@ pub(crate) const MAX_LAZY_BLOCKS: usize = 4096;
 pub(crate) const MAX_BLOCK_INSNS: usize = 32;
 
 /// The block store: physical block start → token. `Arc` so world forks
-/// share it copy-on-write like the predecode cache's slot array.
+/// share it copy-on-write like the frame slab.
 ///
 /// Hashed with the simulator's address hasher because the fetch path
 /// probes it on every full-path fetch. Only `retain` iterates the map

@@ -1174,7 +1174,7 @@ fn run_to_stops_at_breakpoints() {
     assert_eq!(m.cpu.reg(Reg::Eax), 3);
 }
 
-// --- fetch-path regressions and the predecode cache ----------------------
+// --- fetch-path regressions and self-modifying code ---------------------
 
 /// Assembles one-or-more instructions and returns their raw encoding.
 fn enc(src: &str) -> Vec<u8> {
@@ -1246,6 +1246,65 @@ fn truncated_insn_at_page_boundary_still_faults() {
     }
 }
 
+/// An instruction that straddles the CS limit raises #GP(0) naming the
+/// first offset past the limit, in both fetch modes, not #UD. A deferred
+/// second-page #PF still takes precedence over the limit.
+#[test]
+fn insn_straddling_the_cs_limit_raises_gp() {
+    let mov = enc("mov eax, 1\n");
+    assert!(mov.len() > 2);
+    let limit_to = |m: &mut Machine, limit: u32| {
+        let d = m.gdt.push(Descriptor::Code(crate::desc::CodeSeg {
+            base: 0,
+            limit,
+            dpl: 0,
+            readable: true,
+            conforming: false,
+            present: true,
+        }));
+        m.force_seg_from_table(SegReg::Cs, Selector::new(d, false, 0));
+    };
+    for predecode in [true, false] {
+        // Two bytes of the `mov` are inside the limit.
+        let mut m = flat_machine("hlt\n");
+        m.set_predecode(predecode);
+        m.mem.write_bytes(0x1000, &mov);
+        limit_to(&mut m, 0x1001);
+        match m.run(10) {
+            Exit::Fault(f) => {
+                assert_eq!(
+                    (f.vector, f.error_code, f.eip),
+                    (Vector::GeneralProtection, 0, 0x1000),
+                    "predecode={predecode}"
+                );
+                assert_eq!(
+                    f.cause,
+                    FaultCause::LimitViolation {
+                        offset: 0x1002,
+                        limit: 0x1001
+                    },
+                    "predecode={predecode}"
+                );
+            }
+            other => panic!("expected #GP, got {other:?} (predecode={predecode})"),
+        }
+
+        // The limit cuts the window at 0x2000, which is also unmapped.
+        let mut m = paged_code_page_only();
+        m.set_predecode(predecode);
+        m.mem.write_bytes(0x1FFF, &mov);
+        limit_to(&mut m, 0x2000);
+        m.cpu.eip = 0x1FFF;
+        match m.run(10) {
+            Exit::Fault(f) => {
+                assert_eq!(f.vector, Vector::PageFault, "predecode={predecode}");
+                assert_eq!(f.cr2, Some(0x2000), "predecode={predecode}");
+            }
+            other => panic!("expected #PF, got {other:?} (predecode={predecode})"),
+        }
+    }
+}
+
 /// Regression (debug-build panic): a page-straddling access whose linear
 /// address wraps past 0xFFFF_FFFF must wrap like `seg_check` does, not
 /// panic on `linear + i` overflow.
@@ -1279,8 +1338,8 @@ fn straddling_access_wraps_past_top_of_linear_space() {
 }
 
 /// Self-modifying code via a *guest store*: the program overwrites an
-/// instruction it has already executed (and which is therefore in the
-/// predecode cache); the very next fetch must see the new bytes.
+/// instruction it has already executed (and which is therefore in a
+/// lazily built block); the very next fetch must see the new bytes.
 #[test]
 fn guest_store_into_executed_code_is_seen_by_next_fetch() {
     let enc5 = enc("add eax, 5\n");
@@ -1325,18 +1384,19 @@ fn guest_store_into_executed_code_is_seen_by_next_fetch() {
 }
 
 /// Self-modifying code via `host_write` (the loader / kernel path): the
-/// cache must be invalidated exactly like for guest stores.
+/// blocks built over the old bytes must be invalidated exactly like for
+/// guest stores.
 #[test]
 fn host_write_into_executed_code_is_seen_by_next_fetch() {
     let enc5 = enc("add eax, 5\n");
     let enc9 = enc("add eax, 9\n");
     let mut m = flat_machine("top:\nadd eax, 5\njmp top\n");
-    // `top` is at 0x1000; run two loop iterations so the add is cached.
+    // `top` is at 0x1000; run two loop iterations so the add is in a block.
     assert_eq!(m.run(4), Exit::InsnLimit);
     assert_eq!(m.cpu.reg(Reg::Eax), 10);
     assert!(
         m.predecode_stats().hits > 0,
-        "second loop iteration is served from the cache"
+        "second loop iteration is served from a block"
     );
     assert!(m.host_write(0x1000, &enc9));
     assert_eq!(m.run(2), Exit::InsnLimit);
@@ -1347,8 +1407,8 @@ fn host_write_into_executed_code_is_seen_by_next_fetch() {
     assert_eq!(m.cpu.reg(Reg::Eax), 24);
 }
 
-/// A page-straddling instruction is cached against *both* frames: a write
-/// that only touches the second page must still invalidate it.
+/// A page-straddling instruction depends on *both* frames: a write that
+/// only touches the second page must still be seen by the next fetch.
 #[test]
 fn straddling_insn_invalidated_by_store_to_second_page() {
     let add = enc("add eax, 5\n");
@@ -1380,7 +1440,7 @@ fn straddling_insn_invalidated_by_store_to_second_page() {
 }
 
 /// The predecode fast path is cycle-neutral: an identical workload run
-/// with the cache on and off retires the same instructions, charges the
+/// with predecode on and off retires the same instructions, charges the
 /// same cycles and walks the page tables the same number of times.
 #[test]
 fn predecode_fast_path_is_cycle_neutral() {
@@ -1452,7 +1512,7 @@ mod checkpoint {
     }
 
     /// A paged two-ring-ish workload with loops, stores and stack
-    /// traffic — enough to populate the TLB, the predecode cache and a
+    /// traffic — enough to populate the TLB, the block store and a
     /// few dozen frames.
     fn paged_workload(predecode: bool) -> Machine {
         let mut m = Machine::new();
@@ -1829,7 +1889,7 @@ mod protection_keys {
     #[test]
     fn revoked_key_denies_user_access_despite_warm_memo() {
         // Ring 3, paging on: the data page carries key 5. The first load
-        // succeeds (and warms the TLB, the memo and the predecode cache);
+        // succeeds (and warms the TLB, the memo and the block store);
         // a gated wrpkru then revokes key 5, and the very next load of
         // the *same* page must #PF with the PKEY error bit — the cached
         // translation may not bypass the live rights check.
@@ -1918,8 +1978,8 @@ mod run_loop {
 
     use super::*;
     use crate::machine::Flags;
+    use crate::machine::PredecodeStats;
     use crate::paging::TlbStats;
-    use crate::predecode::PredecodeStats;
     use crate::proof::{ProofDs, ProofStats};
 
     /// The reference loop: before each instruction stop on the budget,
@@ -2762,6 +2822,32 @@ mod lazy_blocks {
             );
             w.enter(0, 0x3000);
             assert_eq!(w.run("flat again", 100), Exit::IntHook(0x30));
+        });
+    }
+
+    #[test]
+    fn code_on_a_page_never_written() {
+        // 0x3000 is mapped, but its frame was never written: its zeros
+        // decode as `nop` up to the unmapped page at 0x4000. No fetch
+        // may back that frame: the images must agree on resident frames.
+        differential("never written", |w| {
+            w.load(
+                0x1000,
+                "mov ecx, 3\n\
+                 top:\n\
+                 sub ecx, 1\n\
+                 cmp ecx, 0\n\
+                 jne top\n\
+                 mov ebx, 0x3000\n\
+                 jmp ebx\n",
+            );
+            w.enter(0, 0x1000);
+            assert_eq!(w.run("into zeros", 20), Exit::InsnLimit);
+            let exit = w.run("off the end", 10_000);
+            assert!(
+                matches!(exit, Exit::Fault(f) if f.cr2 == Some(0x4000)),
+                "{exit:?}"
+            );
         });
     }
 

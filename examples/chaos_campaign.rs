@@ -17,7 +17,7 @@
 //! cold-boot each episode — a host-performance knob only, the reports
 //! are byte-identical (the CI `snapshot_fork` job compares them).
 //! `--predecode on|off` likewise switches the simulator's predecode fast
-//! path (predecode cache and translation tables) in every episode; the
+//! path (lazily built blocks and translation tables) in every episode; the
 //! reports are byte-identical either way.
 //!
 //! `--crash-drill` runs a durable-checkpoint crash drill instead of the

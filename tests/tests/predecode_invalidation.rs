@@ -27,7 +27,7 @@ fn corrupt_injection_into_executed_code_faults_next_call() {
     let f = app.seg_dlsym(&mut k, h, "f").unwrap();
     let fn_addr = app.dlsym(h, "f").unwrap();
 
-    // Warm the predecode cache: two successful calls.
+    // Build the extension's blocks: two successful calls.
     assert_eq!(app.call_extension(&mut k, f, 0), Ok(77));
     assert_eq!(app.call_extension(&mut k, f, 0), Ok(77));
 
