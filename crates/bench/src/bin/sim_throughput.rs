@@ -10,16 +10,10 @@
 //! batch time (`*_median_secs`), so the spread shows. Written to
 //! `BENCH_sim_throughput.json`.
 //!
-//! A second section measures worker scaling: the same workloads sharded
-//! across a `parex` pool at 1/2/4/8 workers (override with
-//! `--workers 1,2,4`). Shard decompositions are fixed, so the simulated
-//! work is identical at every worker count; only host wall-clock
-//! changes. `host_cpus` records the machine's available parallelism —
-//! speedups are bounded by it.
+//! `host_cpus` records the machine's available parallelism.
 //!
-//! Shard worlds boot **outside** the timed scaling windows (they used
-//! to fold into `host_secs`); each scaling row carries the excluded
-//! cost in a `boot_cycles` column.
+//! A second section, `backends`, records each isolation backend's
+//! warm-call and dispatch cycles and its containment outcomes.
 //!
 //! A third section, `fleet`, records the canaried rollout scenarios of
 //! `crates/fleet`: requests served / degraded / dropped while a version
@@ -37,11 +31,10 @@
 //! and restored from its checkpoint lineage, with and without corrupted
 //! newest generations forcing a walk-back.
 //!
-//! Usage: `sim_throughput [--quick] [--out <path>] [--workers LIST]`
+//! Usage: `sim_throughput [--quick] [--out <path>]`
 
 use bench::{
-    BackendMatrixRow, DrillPoint, DurabilityPoint, FleetPoint, ScalingPoint, StartupPoint,
-    ThroughputPoint,
+    BackendMatrixRow, DrillPoint, DurabilityPoint, FleetPoint, StartupPoint, ThroughputPoint,
 };
 
 fn json_escape_free_number(v: f64) -> String {
@@ -57,7 +50,6 @@ fn json_opt<T: std::fmt::Display>(v: Option<T>) -> String {
 struct Sections<'a> {
     pts: &'a [ThroughputPoint],
     matrix: &'a [BackendMatrixRow],
-    scaling: &'a [ScalingPoint],
     fleet: &'a [FleetPoint],
     startup: &'a [StartupPoint],
     durability: &'a [DurabilityPoint],
@@ -68,7 +60,6 @@ fn to_json(sections: &Sections<'_>, quick: bool) -> String {
     let &Sections {
         pts,
         matrix,
-        scaling,
         fleet,
         startup,
         durability,
@@ -159,46 +150,6 @@ fn to_json(sections: &Sections<'_>, quick: bool) -> String {
         s.push_str("      ],\n");
         s.push_str(&format!("      \"coverage\": \"{contained}/{total}\"\n"));
         s.push_str(if i + 1 == matrix.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"scaling\": [\n");
-    let host_cpus = parex::host_parallelism();
-    for (i, p) in scaling.iter().enumerate() {
-        // Speedup vs this workload's own 1-worker row.
-        let serial = scaling
-            .iter()
-            .find(|q| q.workload == p.workload && q.workers == 1)
-            .map(|q| q.host_secs)
-            .unwrap_or(p.host_secs);
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"workload\": \"{}\",\n", p.workload));
-        s.push_str(&format!("      \"workers\": {},\n", p.workers));
-        // More workers than host CPUs: the row measures time-slicing,
-        // not parallel speedup.
-        s.push_str(&format!(
-            "      \"oversubscribed\": {},\n",
-            p.workers > host_cpus
-        ));
-        s.push_str(&format!("      \"shards\": {},\n", p.shards));
-        s.push_str(&format!("      \"guest_insns\": {},\n", p.guest_insns));
-        s.push_str(&format!("      \"boot_cycles\": {},\n", p.boot_cycles));
-        s.push_str(&format!(
-            "      \"host_secs\": {},\n",
-            json_escape_free_number(p.host_secs)
-        ));
-        s.push_str(&format!(
-            "      \"steps_per_sec\": {},\n",
-            json_escape_free_number(p.ips())
-        ));
-        s.push_str(&format!(
-            "      \"speedup_vs_1_worker\": {}\n",
-            json_escape_free_number(serial / p.host_secs.max(1e-9))
-        ));
-        s.push_str(if i + 1 == scaling.len() {
             "    }\n"
         } else {
             "    },\n"
@@ -330,17 +281,6 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_sim_throughput.json".to_string());
-    let workers: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .map(|list| {
-            list.split(',')
-                .map(|w| w.parse().expect("--workers expects a comma-separated list"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
-
     let scale = if quick { 1 } else { 5 };
     let pts = bench::measure_sim_throughput(scale);
 
@@ -380,29 +320,6 @@ fn main() {
         for c in &r.containment {
             println!("{:>22}: {}", c.scenario, c.outcome);
         }
-    }
-
-    let scaling = bench::measure_scaling_with(16, 250 * scale, 300 * scale, 240 * scale, &workers);
-    println!("\nWorker scaling ({} host CPUs)", parex::host_parallelism());
-    println!(
-        "{:>10} {:>8} {:>8} {:>12} {:>12} {:>9}",
-        "Workload", "Workers", "Shards", "Insns", "Work/s", "Speedup"
-    );
-    for p in &scaling {
-        let serial = scaling
-            .iter()
-            .find(|q| q.workload == p.workload && q.workers == 1)
-            .map(|q| q.host_secs)
-            .unwrap_or(p.host_secs);
-        println!(
-            "{:>10} {:>8} {:>8} {:>12} {:>12.0} {:>8.2}x",
-            p.workload,
-            p.workers,
-            p.shards,
-            p.guest_insns,
-            p.ips(),
-            serial / p.host_secs.max(1e-9)
-        );
     }
 
     let fleet = bench::measure_fleet(scale);
@@ -481,7 +398,6 @@ fn main() {
         &Sections {
             pts: &pts,
             matrix: &matrix,
-            scaling: &scaling,
             fleet: &fleet,
             startup: &startup,
             durability: &durability,

@@ -921,14 +921,14 @@ pub fn measure_fleet(scale: u32) -> Vec<FleetPoint> {
     ]
 }
 
-// ----- worker scaling (the "scaling" section of the same JSON) -------------
+// ----- worker-count invariance of the sharded workloads --------------------
 
 /// One worker-count sample of a sharded workload.
 ///
 /// The shard decomposition is fixed per workload, so `guest_insns` is
-/// identical across worker counts (asserted by the determinism suite);
-/// only `host_secs` — wall-clock over the whole fan-out — varies.
-/// Speedup is relative to each workload's own 1-worker row.
+/// identical across worker counts (asserted by the determinism suite).
+/// No host time is recorded: on a host with fewer CPUs than workers it
+/// measures time-slicing, not scaling.
 #[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// Workload tag: `figure7`, `chaos` or `webserver`.
@@ -941,31 +941,19 @@ pub struct ScalingPoint {
     /// invariant).
     pub guest_insns: u64,
     /// Simulated cycles spent booting and warming the shard worlds,
-    /// summed across shards. Boot happens **outside** the timed window
-    /// (`host_secs` measures steady-state work only); this column keeps
-    /// the excluded cost visible. Zero for the chaos workload, whose
-    /// episode boot is part of the campaign itself (and already
-    /// fork-amortised via `CampaignConfig::fork_boot`).
+    /// summed across shards; the sharded work starts from forks of one
+    /// warmed template. Zero for the chaos workload, whose episode boot
+    /// is part of the campaign itself (and already fork-amortised via
+    /// `CampaignConfig::fork_boot`).
     pub boot_cycles: u64,
-    /// Host wall-clock seconds for the whole fan-out.
-    pub host_secs: f64,
-}
-
-impl ScalingPoint {
-    /// Host throughput, guest instructions per second.
-    pub fn ips(&self) -> f64 {
-        self.guest_insns as f64 / self.host_secs.max(1e-9)
-    }
 }
 
 /// Figure 7 filter workload sharded: each shard owns a private
 /// [`FilterBench`] (kernel + machine) and runs `iters` protected
 /// invocations of the 80-term compiled filter.
-fn scaling_figure7(shards: u32, iters: u32, pool: parex::Pool) -> (u64, u64, f64) {
-    // Cold-path bugfix: shard boot used to run inside the timed window,
-    // polluting `host_secs` with world construction. Boot one warmed
-    // template outside the timer and fork a world per shard
-    // (copy-on-write); the timer measures only the filter iterations.
+fn scaling_figure7(shards: u32, iters: u32, pool: parex::Pool) -> (u64, u64) {
+    // Boot one warmed template and fork a world per shard
+    // (copy-on-write).
     let mut template = FilterBench::new().expect("filter bench");
     template
         .install_compiled(&extended_conjunction(80))
@@ -974,8 +962,6 @@ fn scaling_figure7(shards: u32, iters: u32, pool: parex::Pool) -> (u64, u64, f64
     template.run_compiled(&pkt).expect("warm");
     let boot_cycles = template.k.m.cycles() * u64::from(shards);
     let worlds: Vec<FilterBench> = (0..shards).map(|_| template.clone()).collect();
-
-    let t = std::time::Instant::now();
     let insns = pool.run_ordered(worlds, |_, mut b| {
         let insns0 = b.k.m.insns();
         for _ in 0..iters {
@@ -983,12 +969,12 @@ fn scaling_figure7(shards: u32, iters: u32, pool: parex::Pool) -> (u64, u64, f64
         }
         b.k.m.insns() - insns0
     });
-    (insns.iter().sum(), boot_cycles, t.elapsed().as_secs_f64())
+    (insns.iter().sum(), boot_cycles)
 }
 
 /// Chaos workload sharded: the campaign's own episode fan-out
 /// ([`CampaignConfig::jobs`](chaos::campaign::CampaignConfig::jobs)).
-fn scaling_chaos(steps: u32, jobs: usize) -> (u64, u64, f64) {
+fn scaling_chaos(steps: u32, jobs: usize) -> (u64, u64) {
     let cfg = chaos::campaign::CampaignConfig {
         seed: 0xBE7C_4A05,
         steps,
@@ -996,21 +982,19 @@ fn scaling_chaos(steps: u32, jobs: usize) -> (u64, u64, f64) {
         jobs,
         ..chaos::campaign::CampaignConfig::default()
     };
-    let t = std::time::Instant::now();
     let report = chaos::campaign::run(&cfg);
     // Episode boot is part of the campaign (fork-amortised internally),
-    // so no boot cost is split out of the timed window here.
-    (report.guest_insns, 0, t.elapsed().as_secs_f64())
+    // so no boot cost is split out here.
+    (report.guest_insns, 0)
 }
 
 /// Web-server workload sharded: [`webserver::run_live_sharded`] request
 /// groups, each on a replica server.
-/// Returns `(guest_insns, shard_cycles, boot_cycles, host_secs)`; the
-/// shard cycles are the simulated cycles spent serving, for tests.
-fn scaling_webserver(shards: u32, requests: u32, pool: parex::Pool) -> (u64, u64, u64, f64) {
-    // Cold-path bugfix: each request group used to cold-boot its server
-    // inside the timed window. Boot and warm one template outside the
-    // timer; `make` hands each group a copy-on-write fork of it.
+/// Returns `(guest_insns, shard_cycles, boot_cycles)`; the shard cycles
+/// are the simulated cycles spent serving, for tests.
+fn scaling_webserver(shards: u32, requests: u32, pool: parex::Pool) -> (u64, u64, u64) {
+    // Boot and warm one template; `make` hands each group a
+    // copy-on-write fork of it.
     let template = {
         let mut s = WebServer::new().expect("webserver");
         let cube = Assembler::assemble(
@@ -1027,8 +1011,6 @@ fn scaling_webserver(shards: u32, requests: u32, pool: parex::Pool) -> (u64, u64
     let groups = shards.clamp(1, requests.max(1));
     let boot_cycles = template.k.m.cycles() * u64::from(groups);
     let make = || Ok(template.clone());
-
-    let t = std::time::Instant::now();
     let (_, stats) = webserver::run_live_sharded(
         make,
         ExecModel::LibCgiProtected,
@@ -1039,15 +1021,14 @@ fn scaling_webserver(shards: u32, requests: u32, pool: parex::Pool) -> (u64, u64
         pool,
     )
     .expect("sharded live run");
-    let secs = t.elapsed().as_secs_f64();
     let insns = stats.iter().map(|s| s.insns).sum();
     let cycles = stats.iter().map(|s| s.cycles).sum();
-    (insns, cycles, boot_cycles, secs)
+    (insns, cycles, boot_cycles)
 }
 
-/// Measures the sharded workloads at each worker count in `workers`,
-/// with explicit shard/iteration counts (exposed for cheap tests; the
-/// `sim_throughput` binary uses [`measure_scaling`]).
+/// Runs the sharded workloads at each worker count in `workers`, with
+/// explicit shard/iteration counts; the determinism suites check that
+/// the guest work does not depend on the worker count.
 pub fn measure_scaling_with(
     shards: u32,
     figure7_iters: u32,
@@ -1058,42 +1039,32 @@ pub fn measure_scaling_with(
     let mut points = Vec::new();
     for &w in workers {
         let pool = parex::Pool::new(w);
-        let (insns, boot, secs) = scaling_figure7(shards, figure7_iters, pool);
+        let (insns, boot) = scaling_figure7(shards, figure7_iters, pool);
         points.push(ScalingPoint {
             workload: "figure7",
             workers: w,
             shards,
             guest_insns: insns,
             boot_cycles: boot,
-            host_secs: secs,
         });
-        let (insns, boot, secs) = scaling_chaos(chaos_steps, w);
+        let (insns, boot) = scaling_chaos(chaos_steps, w);
         points.push(ScalingPoint {
             workload: "chaos",
             workers: w,
             shards: chaos_steps.div_ceil(chaos::campaign::CampaignConfig::default().episode_len),
             guest_insns: insns,
             boot_cycles: boot,
-            host_secs: secs,
         });
-        let (insns, _, boot, secs) = scaling_webserver(shards, webserver_reqs, pool);
+        let (insns, _, boot) = scaling_webserver(shards, webserver_reqs, pool);
         points.push(ScalingPoint {
             workload: "webserver",
             workers: w,
             shards,
             guest_insns: insns,
             boot_cycles: boot,
-            host_secs: secs,
         });
     }
     points
-}
-
-/// Measures worker scaling at 1/2/4/8 workers; `scale` multiplies the
-/// per-shard work (1 = the CI `--quick` run).
-pub fn measure_scaling(scale: u32) -> Vec<ScalingPoint> {
-    let s = scale.max(1);
-    measure_scaling_with(16, 250 * s, 300 * s, 240 * s, &[1, 2, 4, 8])
 }
 
 // ----- world startup: cold boot vs fork (the "startup" JSON section) -------
@@ -1434,8 +1405,8 @@ mod tests {
                 "{w}: sharded work must be invariant"
             );
             assert!(rows[0].guest_insns > 0, "{w}: no guest work");
-            // Boot cost is split out of the timed window and reported
-            // deterministically (chaos boots inside its campaign).
+            // Boot cost is reported deterministically (chaos boots
+            // inside its campaign).
             assert_eq!(rows[0].boot_cycles, rows[1].boot_cycles, "{w}");
             if w != "chaos" {
                 assert!(rows[0].boot_cycles > 0, "{w}: boot cost unreported");
@@ -1444,7 +1415,7 @@ mod tests {
         // The webserver rows count guest instructions, not simulated
         // cycles: every instruction costs at least one cycle, and the
         // serving path adds syscall and trampoline charges on top.
-        let (insns, cycles, _, _) = scaling_webserver(4, 16, parex::Pool::new(1));
+        let (insns, cycles, _) = scaling_webserver(4, 16, parex::Pool::new(1));
         let row = pts.iter().find(|p| p.workload == "webserver").unwrap();
         assert_eq!(row.guest_insns, insns);
         assert!(
@@ -1512,10 +1483,10 @@ mod tests {
         assert_eq!(
             fingerprints,
             [
-                (681_384, 0x623D_0885),
-                (682_993, 0x91A9_5DBF),
-                (683_225, 0xB228_DFCD),
-                (732_903, 0xBE83_A0D1),
+                (681_384, 0x4BBE_14D7),
+                (682_993, 0xF877_7559),
+                (683_222, 0x2A3E_3D43),
+                (732_903, 0x58AE_DF4D),
             ]
         );
         for p in &pts {

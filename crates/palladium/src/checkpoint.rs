@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use asm86::obj::{Reloc, RelocKind};
 use asm86::Object;
-use verifier::{Attestation, BlockProof, LoopClass, ProofMap};
+use verifier::{Attestation, BlockProof, ProofMap};
 use x86sim::image::{Dec, Enc, RestoreError};
 
 pub(crate) fn put_opt_u32(e: &mut Enc, v: Option<u32>) {
@@ -94,44 +94,15 @@ fn put_block_proof(e: &mut Enc, p: &BlockProof) {
     put_opt_pair(e, p.ds_bounds);
     e.bool(p.ds_loads);
     e.bool(p.ds_stores);
-    e.bool(p.no_privileged);
-    e.bool(p.fall_through_only);
-    match p.loop_class {
-        LoopClass::NotInLoop => e.u8(0),
-        LoopClass::Counted { header } => {
-            e.u8(1);
-            e.u32(header);
-        }
-        LoopClass::Unknown { header } => {
-            e.u8(2);
-            e.u32(header);
-        }
-    }
 }
 
 fn get_block_proof(d: &mut Dec) -> Result<BlockProof, RestoreError> {
-    let start = d.u32()?;
-    let len = d.u32()?;
-    let ds_bounds = get_opt_pair(d)?;
-    let ds_loads = d.bool()?;
-    let ds_stores = d.bool()?;
-    let no_privileged = d.bool()?;
-    let fall_through_only = d.bool()?;
-    let loop_class = match d.u8()? {
-        0 => LoopClass::NotInLoop,
-        1 => LoopClass::Counted { header: d.u32()? },
-        2 => LoopClass::Unknown { header: d.u32()? },
-        _ => return Err(d.fail("bad loop class")),
-    };
     Ok(BlockProof {
-        start,
-        len,
-        ds_bounds,
-        ds_loads,
-        ds_stores,
-        no_privileged,
-        fall_through_only,
-        loop_class,
+        start: d.u32()?,
+        len: d.u32()?,
+        ds_bounds: get_opt_pair(d)?,
+        ds_loads: d.bool()?,
+        ds_stores: d.bool()?,
     })
 }
 

@@ -1304,95 +1304,18 @@ impl KernelExtensions {
 /// their load addresses. `base` is the linear address the proof map's
 /// offsets are relative to. Install failures (unmapped page, block
 /// straddling a page boundary) are ignored by design: a token is a
-/// license to hoist checks, never a prerequisite for running.
-///
-/// Two passes. The first installs one token per block, so every block
-/// start — branch targets included — can activate a run. The second
-/// chains maximal runs of address-adjacent blocks that all carry a DS
-/// bounds fact into one *superblock* token installed at the chain head
-/// (replacing the head's per-block token, leaving the token count
-/// unchanged): a cascade of short straight-line blocks then pays one
-/// activation — token lookup, entry guard, run setup — per chain
-/// instead of per block. The merged guard uses the maximum of the
-/// chained bounds, which every chained access respects. A block
-/// without the fact ends the chain, because the proof map does not
-/// distinguish "no DS access" from "access the verifier could not
-/// bound", and eliding an unbounded access's check would be unsound. A
-/// taken branch inside a superblock merely breaks the run at the next
-/// fetch (the expected-EIP discipline) and dispatch falls back to the
-/// target block's own token.
+/// license to hoist checks, never a prerequisite for running. The
+/// simulator's block builder chains address-adjacent DS-proven blocks
+/// into one verified block itself.
 pub(crate) fn install_proof_map(k: &mut Kernel, base: u32, proofs: &ProofMap) {
-    let mut chain: Option<Chain> = None;
     for p in proofs.blocks.values() {
-        if p.len == 0 {
-            continue;
-        }
         let ds = p.ds_bounds.map(|(_, hi)| x86sim::ProofDs {
             hi,
             loads: p.ds_loads,
             stores: p.ds_stores,
         });
         let _ = k.m.install_proof_token(base + p.start, p.len, ds);
-        let Some(ds) = ds else {
-            install_chain(k, base, chain.take());
-            continue;
-        };
-        chain = Some(match chain.take() {
-            Some(c)
-                if c.start + c.len == p.start && token_fits_page(base + c.start, c.len + p.len) =>
-            {
-                Chain {
-                    len: c.len + p.len,
-                    ds: x86sim::ProofDs {
-                        hi: c.ds.hi.max(ds.hi),
-                        loads: c.ds.loads || ds.loads,
-                        stores: c.ds.stores || ds.stores,
-                    },
-                    blocks: c.blocks + 1,
-                    ..c
-                }
-            }
-            prev => {
-                install_chain(k, base, prev);
-                Chain {
-                    start: p.start,
-                    len: p.len,
-                    ds,
-                    blocks: 1,
-                }
-            }
-        });
     }
-    install_chain(k, base, chain);
-}
-
-/// A run of adjacent DS-bounded blocks being merged into a superblock
-/// token. `start`/`len` are image-relative like the proofs they merge.
-struct Chain {
-    start: u32,
-    len: u32,
-    ds: x86sim::ProofDs,
-    blocks: u32,
-}
-
-/// Installs a finished chain's superblock token — only worth a token of
-/// its own once it merges at least two blocks.
-fn install_chain(k: &mut Kernel, base: u32, chain: Option<Chain>) {
-    if let Some(c) = chain {
-        if c.blocks >= 2 {
-            let _ = k.m.install_proof_token(base + c.start, c.len, Some(c.ds));
-        }
-    }
-}
-
-/// Whether a token spanning `len` bytes at `linear` satisfies the
-/// installer's page-fit rule (block plus fetch lookahead inside one
-/// page). Page offsets agree between linear and physical space, so the
-/// check can run before translation; chains split where the next block
-/// would cross.
-fn token_fits_page(linear: u32, len: u32) -> bool {
-    ((linear % x86sim::PAGE_SIZE) + len) as usize + x86sim::machine::MAX_INSN_LEN
-        <= x86sim::PAGE_SIZE as usize
 }
 
 fn put_config(e: &mut Enc, c: &SegmentConfig) {

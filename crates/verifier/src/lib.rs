@@ -13,20 +13,20 @@
 //!    set for the target SPL (`hlt`, segment-register loads, `iret`,
 //!    `lret`, unlisted `int` vectors, unlisted `lcall` gates);
 //! 3. runs a loop-aware interval abstract interpretation over registers
-//!    used as addresses — dominator tree, natural loops, branch-condition
-//!    refinement, widening only at retreating-edge targets plus
-//!    descending narrowing — rejecting memory accesses that *provably*
-//!    fall outside the allowed ranges (extension segment, stack, heap);
+//!    used as addresses — branch-condition refinement, widening only at
+//!    retreating-edge targets of a reverse post-order, plus descending
+//!    narrowing — rejecting memory accesses that *provably* fall outside
+//!    the allowed ranges (extension segment, stack, heap);
 //! 4. validates every outbound control transfer: static branches must
 //!    stay in-image or land in whitelisted code ranges (EFT stubs, PLT,
 //!    trampolines), far calls must name registered call gates, and
 //!    indirect transfers must resolve to a verified target or a
 //!    loader-sealed dispatch slot; and
-//! 5. emits a [`ProofMap`]: per basic block, the facts it *proved*
-//!    (bounded DS access region, no privileged instructions, pure
-//!    fall-through, loop trip-bound class), carried inside the
-//!    [`Attestation`] for the dispatch layer to cash in as elided
-//!    runtime checks (see `x86sim`'s proof tokens).
+//! 5. emits a [`ProofMap`]: per basic block, the DS facts it *proved*
+//!    (a bounded DS access region and whether the block loads or
+//!    stores through DS), carried inside the [`Attestation`] for the
+//!    dispatch layer to cash in as elided runtime checks (see `x86sim`'s
+//!    proof tokens).
 //!
 //! The analysis is deliberately *one-sided*: it rejects only violations it
 //! can prove (a constant or bounded address outside every allowed range, a
@@ -59,7 +59,7 @@ mod proofs;
 mod scan;
 
 pub use policy::{VerifyError, VerifyPolicy};
-pub use proofs::{BlockProof, LoopClass, ProofMap};
+pub use proofs::{BlockProof, ProofMap};
 pub use scan::verify_image;
 
 /// Proof-carrying summary of a successful verification, stored by the
@@ -124,9 +124,6 @@ mod tests {
         assert_eq!(at.unknown_accesses, 1, "esp-relative is hardware's job");
         assert_eq!(at.proofs.len(), 1, "one proof per block");
         let p = at.proofs.get(0).unwrap();
-        assert!(p.no_privileged);
-        assert!(!p.fall_through_only, "ends in ret");
-        assert_eq!(p.loop_class, LoopClass::NotInLoop);
         assert_eq!(p.ds_bounds, None, "the esp load goes through SS");
     }
 
@@ -449,11 +446,6 @@ mod tests {
         // byte table.
         assert_eq!(hi - lo, 0x102, "loop covers the whole table");
         assert!(body.ds_loads && !body.ds_stores);
-        assert!(
-            matches!(body.loop_class, LoopClass::Counted { .. }),
-            "{:?}",
-            body.loop_class
-        );
     }
 
     #[test]
@@ -542,6 +534,5 @@ mod tests {
             .find(|p| p.ds_bounds.is_some())
             .expect("store block proven");
         assert_eq!(body.ds_bounds, Some((0x200, 0x203)));
-        assert!(matches!(body.loop_class, LoopClass::Counted { .. }));
     }
 }

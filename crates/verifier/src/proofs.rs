@@ -1,67 +1,25 @@
-//! Per-block proof facts and the CFG structure analyses behind them.
+//! Per-block proof facts and the CFG ordering behind them.
 //!
-//! A successful verification now emits a [`ProofMap`]: for every basic
-//! block, the facts the analysis *proved* (not merely failed to refute).
-//! The facts are chosen to be exactly what a dispatch layer can cash in:
+//! A successful verification emits a [`ProofMap`]: for every basic
+//! block, the DS facts the analysis *proved* (not merely failed to
+//! refute). They are exactly what a dispatch layer can cash in:
+//! `ds_bounds` says every effective-DS memory access in the block lies
+//! inside one static inclusive byte range (access width included), so
+//! one limit/rights guard at block entry covers the whole block, and
+//! `ds_loads`/`ds_stores` say which rights that guard must find.
 //!
-//! - `ds_bounds` — every effective-DS memory access in the block lies
-//!   inside one static inclusive byte range (access width included), so
-//!   one limit/rights guard at block entry covers the whole block;
-//! - `no_privileged` — the privilege scan passed for every instruction
-//!   (true for every block of an accepted module, stated per block so a
-//!   consumer need not re-derive it);
-//! - `fall_through_only` — the block ends without a control transfer;
-//! - `loop_class` — whether the block sits in a natural loop and whether
-//!   that loop's trip count is syntactically bounded.
-//!
-//! The structure analyses are classic: predecessor lists and a reverse
-//! post-order over the `asm86::Cfg` (which stores only successors), an
-//! iterative dominator computation (Cooper–Harvey–Kennedy) with a
-//! virtual root covering multiple entry points, and natural loops from
-//! back edges `b -> h` where `h` dominates `b`. Retreating edges (RPO
-//! target not after the source) additionally drive the widening points
-//! of the interval fixpoint — every cycle contains one, reducible or
-//! not, so widening only there still terminates.
+//! The ordering is classic: predecessor lists and a reverse post-order
+//! over the `asm86::Cfg` (which stores only successors). Retreating
+//! edges (RPO target not after the source) drive the widening points of
+//! the interval fixpoint — every cycle contains one, reducible or not,
+//! so widening only there still terminates.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use asm86::disasm::Cfg;
-use asm86::isa::{Insn, Src};
-
-/// A basic block's loop membership and trip-bound class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum LoopClass {
-    /// The block is not part of any natural loop.
-    #[default]
-    NotInLoop,
-    /// Innermost containing loop has a syntactically counted back edge
-    /// (`cmp r, imm` / `jcc` or `dec r` / `jnz`), so its trip count is
-    /// bounded by the interval analysis.
-    Counted {
-        /// Leader offset of the innermost loop header.
-        header: u32,
-    },
-    /// The block is in a loop whose trip count the analysis cannot
-    /// classify.
-    Unknown {
-        /// Leader offset of the innermost loop header.
-        header: u32,
-    },
-}
-
-impl LoopClass {
-    /// The innermost loop header, if the block is in a loop.
-    pub fn header(self) -> Option<u32> {
-        match self {
-            LoopClass::NotInLoop => None,
-            LoopClass::Counted { header } | LoopClass::Unknown { header } => Some(header),
-        }
-    }
-}
 
 /// Facts proven about one basic block of a verified module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(clippy::struct_excessive_bools)] // a record of independent facts
 pub struct BlockProof {
     /// Image-relative offset of the block's first instruction.
     pub start: u32,
@@ -77,12 +35,6 @@ pub struct BlockProof {
     pub ds_loads: bool,
     /// The block performs DS stores (meaningful when `ds_bounds` is set).
     pub ds_stores: bool,
-    /// No privileged or reserved instruction in the block.
-    pub no_privileged: bool,
-    /// The block ends without a control transfer (pure fall-through).
-    pub fall_through_only: bool,
-    /// Loop membership and trip-bound class.
-    pub loop_class: LoopClass,
 }
 
 /// Block-indexed proof facts emitted with a successful verification,
@@ -128,13 +80,10 @@ impl ProofMap {
 }
 
 /// Predecessor lists, reverse post-order, and the retreating-edge
-/// targets of a CFG — the scaffolding both the dominator computation
-/// and the interval fixpoint share.
+/// targets of a CFG: the scaffolding of the interval fixpoint.
 pub(crate) struct Order {
-    /// Blocks in reverse post-order from the entries (virtual root).
+    /// Blocks in reverse post-order from the entries.
     pub(crate) rpo: Vec<u32>,
-    /// Position of each block in `rpo`.
-    pub(crate) index: BTreeMap<u32, usize>,
     /// Predecessor block leaders, by block leader.
     pub(crate) preds: BTreeMap<u32, Vec<u32>>,
     /// Targets of retreating edges (every cycle has one): the widening
@@ -188,147 +137,7 @@ pub(crate) fn order(cfg: &Cfg, entries: &[u32]) -> Order {
     }
     Order {
         rpo: post,
-        index,
         preds,
         retreat_targets,
     }
-}
-
-/// Immediate dominators over the CFG, with a virtual root above the
-/// entries: an entry's idom is `None`. Iterative Cooper–Harvey–Kennedy
-/// over the RPO.
-pub(crate) fn dominators(entries: &[u32], ord: &Order) -> BTreeMap<u32, Option<u32>> {
-    let entry_set: BTreeSet<u32> = entries.iter().copied().collect();
-    // idom[b]: None = root (entries), absent = not yet computed.
-    let mut idom: BTreeMap<u32, Option<u32>> = BTreeMap::new();
-    for &e in entries {
-        if ord.index.contains_key(&e) {
-            idom.insert(e, None);
-        }
-    }
-    let intersect = |idom: &BTreeMap<u32, Option<u32>>, mut a: u32, mut b: u32| -> Option<u32> {
-        // Walk both up to the common dominator; reaching the virtual
-        // root (None) from either side means the root dominates.
-        loop {
-            if a == b {
-                return Some(a);
-            }
-            let (ai, bi) = (ord.index[&a], ord.index[&b]);
-            if ai > bi {
-                match idom.get(&a).copied().flatten() {
-                    Some(p) => a = p,
-                    None => return None,
-                }
-            } else {
-                match idom.get(&b).copied().flatten() {
-                    Some(p) => b = p,
-                    None => return None,
-                }
-            }
-        }
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &ord.rpo {
-            if entry_set.contains(&b) {
-                continue;
-            }
-            let mut new: Option<Option<u32>> = None;
-            for &p in ord.preds.get(&b).map_or(&[][..], |v| v.as_slice()) {
-                if !idom.contains_key(&p) {
-                    continue; // unprocessed predecessor
-                }
-                new = Some(match new {
-                    None => Some(p),
-                    Some(None) => None,
-                    Some(Some(cur)) => intersect(&idom, cur, p),
-                });
-            }
-            // Entries also receive in-edges from the virtual root.
-            let Some(new) = new else { continue };
-            if idom.get(&b) != Some(&new) {
-                idom.insert(b, new);
-                changed = true;
-            }
-        }
-    }
-    idom
-}
-
-/// True if `d` dominates `b` (reflexively) under `idom`.
-fn dominates(idom: &BTreeMap<u32, Option<u32>>, d: u32, mut b: u32) -> bool {
-    loop {
-        if d == b {
-            return true;
-        }
-        match idom.get(&b).copied().flatten() {
-            Some(p) => b = p,
-            None => return false,
-        }
-    }
-}
-
-/// Innermost natural-loop membership: block leader → innermost header.
-///
-/// Natural loops come from back edges `b -> h` with `h` dominating `b`;
-/// a loop's body is `h` plus everything reaching `b` without passing
-/// `h`. Headers are processed in RPO (outer loops first), so a block in
-/// nested loops keeps the *last* — innermost — assignment. Also returns
-/// the set of headers whose every back edge is syntactically counted.
-pub(crate) fn natural_loops(
-    cfg: &Cfg,
-    ord: &Order,
-    idom: &BTreeMap<u32, Option<u32>>,
-) -> (BTreeMap<u32, u32>, BTreeSet<u32>) {
-    // header -> latch blocks (back-edge sources), discovered in RPO.
-    let mut latches: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for &b in &ord.rpo {
-        for &s in &cfg.blocks[&b].succs {
-            if ord.index.contains_key(&s) && dominates(idom, s, b) {
-                latches.entry(s).or_default().push(b);
-            }
-        }
-    }
-
-    let mut innermost: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut counted: BTreeSet<u32> = BTreeSet::new();
-    let mut headers: Vec<u32> = latches.keys().copied().collect();
-    headers.sort_by_key(|h| ord.index[h]);
-    for h in headers {
-        // Collect the loop body by walking predecessors back from the
-        // latches, stopping at the header.
-        let mut body: BTreeSet<u32> = BTreeSet::new();
-        body.insert(h);
-        let mut work: Vec<u32> = latches[&h].clone();
-        while let Some(b) = work.pop() {
-            if body.insert(b) {
-                work.extend(ord.preds.get(&b).into_iter().flatten().copied());
-            }
-        }
-        for &b in &body {
-            innermost.insert(b, h);
-        }
-        if latches[&h].iter().all(|&l| counted_latch(cfg, l)) {
-            counted.insert(h);
-        }
-    }
-    (innermost, counted)
-}
-
-/// Syntactic trip-bound check for a back-edge block: it ends in
-/// `cmp r, imm` / `jcc` or `dec r` / `jcc` — the two shapes whose bound
-/// the interval refinement can track.
-fn counted_latch(cfg: &Cfg, latch: u32) -> bool {
-    let Some(block) = cfg.blocks.get(&latch) else {
-        return false;
-    };
-    let n = block.insns.len();
-    if n < 2 || !matches!(block.insns[n - 1].insn, Insn::Jcc(..)) {
-        return false;
-    }
-    matches!(
-        block.insns[n - 2].insn,
-        Insn::Cmp(_, Src::Imm(_)) | Insn::Dec(_)
-    )
 }

@@ -22,7 +22,7 @@ use crate::interval::{
     AbsState,
 };
 use crate::policy::{VerifyError, VerifyPolicy};
-use crate::proofs::{self, BlockProof, LoopClass, Order};
+use crate::proofs::{self, BlockProof, Order};
 use crate::Attestation;
 
 /// How many times a widening point's in-state may change before it is
@@ -325,10 +325,9 @@ impl Analysis<'_> {
         Ok(())
     }
 
-    /// Extracts the proven facts for one block under its final in-state.
-    /// Runs only after every instruction passed [`Analysis::check_insn`],
-    /// so `no_privileged` is a statement, not a re-check.
-    fn block_proof(&self, block: &Block, in_state: AbsState, loop_class: LoopClass) -> BlockProof {
+    /// Extracts the proven DS facts for one block under its final
+    /// in-state.
+    fn block_proof(&self, block: &Block, in_state: AbsState) -> BlockProof {
         let mut s = in_state;
         let mut seen = false;
         let mut all_proven = true;
@@ -363,9 +362,6 @@ impl Analysis<'_> {
             ds_bounds: (seen && all_proven).then_some((lo, hi)),
             ds_loads: loads,
             ds_stores: stores,
-            no_privileged: true,
-            fall_through_only: block.insns.last().is_some_and(|l| !l.insn.is_control()),
-            loop_class,
         }
     }
 }
@@ -437,16 +433,9 @@ pub fn verify_image(
         pending.retain(|p| !all_entries.contains(p));
         if pending.is_empty() {
             // Accepted: extract per-block proofs under the final states.
-            let idom = proofs::dominators(&all_entries, &ord);
-            let (innermost, counted) = proofs::natural_loops(&cfg, &ord, &idom);
             for block in cfg.blocks.values() {
                 let in_state = states.get(&block.start).copied().unwrap_or(AbsState::TOP);
-                let loop_class = match innermost.get(&block.start) {
-                    None => LoopClass::NotInLoop,
-                    Some(&h) if counted.contains(&h) => LoopClass::Counted { header: h },
-                    Some(&h) => LoopClass::Unknown { header: h },
-                };
-                let proof = a.block_proof(block, in_state, loop_class);
+                let proof = a.block_proof(block, in_state);
                 a.stats.proofs.blocks.insert(block.start, proof);
             }
             return Ok(a.stats);

@@ -58,7 +58,7 @@ pub const MAGIC: [u8; 4] = *b"PDIM";
 
 /// Current format version. Bumped on any incompatible layout change; a
 /// mismatch is a typed [`RestoreError::Version`], never a guess.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Header bytes: magic, version, kind, section count.
 const HEADER_LEN: usize = 16;
@@ -882,7 +882,7 @@ mod tests {
         // the CRC's output (or to the image layout) fails here.
         let img = sample_image();
         assert_eq!(img.len(), 65);
-        assert_eq!(img[61..], 0x037B_5BF6u32.to_le_bytes());
+        assert_eq!(img[61..], 0x482F_64CAu32.to_le_bytes());
     }
 
     #[test]

@@ -15,8 +15,8 @@ use crate::image::{self, base, kind, Enc, ImageBuilder, ImageView, RestoreError}
 use crate::mem::{PhysMem, PAGE_MASK, PAGE_SIZE};
 use crate::paging::{Access, Mmu};
 use crate::proof::{
-    BlockToken, ProofDs, ProofInstallError, ProofRun, ProofStats, TokenInsn, MAX_BLOCK_INSNS,
-    MAX_LAZY_BLOCKS,
+    BlockToken, Proof, ProofDs, ProofIndex, ProofInstallError, ProofRun, ProofStats, TokenInsn,
+    MAX_BLOCK_INSNS, MAX_LAZY_BLOCKS,
 };
 use crate::trace::{Trace, TraceRecord};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 pub const MAX_INSN_LEN: usize = 12;
 
 /// Host-side counters of the fetch fast path: instructions served from
-/// lazily built blocks, fetches decoded uncached, and the machine's
+/// straight-line blocks, fetches decoded uncached, and the machine's
 /// translation-table misses.
 ///
 /// Purely observational: they exist so benchmarks and tests can see the
@@ -33,8 +33,8 @@ pub const MAX_INSN_LEN: usize = 12;
 /// machine state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PredecodeStats {
-    /// Instructions served from lazily built blocks (and from verifier
-    /// tokens while proof elision is off).
+    /// Instructions served from straight-line blocks (and from proven
+    /// blocks while proof elision is off).
     pub hits: u64,
     /// Fetches no block served, decoded from memory by the fast path
     /// (always 0 with predecode off: the byte-wise baseline counts
@@ -286,10 +286,13 @@ pub struct Machine {
     /// MMU (reported in [`PredecodeStats::translation_misses`]). Never
     /// serialized; a restored world starts at zero.
     memo_misses: u64,
-    /// Block tokens, verifier-installed and lazily built, keyed by
-    /// physical block start. Shared copy-on-write across forks like the
-    /// translation tables.
+    /// Block tokens, straight-line and proven, keyed by physical block
+    /// start. Shared copy-on-write across forks like the translation
+    /// tables.
     blocks: crate::proof::BlockMap,
+    /// Installed verifier proofs, keyed by physical block start: the
+    /// block builder's input for proven blocks.
+    proofs: ProofIndex,
     /// The token run in progress, if the last fetch was served from one.
     proof_run: Option<ProofRun>,
     /// Instructions served from token runs, indexed by
@@ -496,6 +499,7 @@ impl Machine {
             }),
             memo_misses: 0,
             blocks: crate::proof::BlockMap::default(),
+            proofs: ProofIndex::default(),
             proof_run: None,
             block_served: [0; 2],
             proof_elide: true,
@@ -733,21 +737,19 @@ impl Machine {
     ///
     /// This is a *host* performance knob: simulated semantics and cycle
     /// accounting are identical either way (the determinism tests assert
-    /// it). Disabling drops the lazily built blocks and falls back to
-    /// the byte-wise fetch, which the throughput benchmark uses as its
-    /// baseline.
+    /// it). Disabling drops the stored blocks (installed proofs stay)
+    /// and falls back to the byte-wise fetch, which the throughput
+    /// benchmark uses as its baseline.
     pub fn set_predecode(&mut self, on: bool) {
         self.predecode = on;
         if !on {
             self.proof_run = None;
-            if self.blocks.len() > self.proof_token_count() {
-                Arc::make_mut(&mut self.blocks).retain(|_, t| t.verified);
-            }
+            self.blocks = crate::proof::BlockMap::default();
         }
     }
 
     /// Host-side counters of the fetch fast path: instructions served
-    /// from lazily built blocks (or from verifier tokens while proof
+    /// from straight-line blocks (or from proven blocks while proof
     /// elision is off), uncached decodes, and translation-table misses.
     pub fn predecode_stats(&self) -> PredecodeStats {
         PredecodeStats {
@@ -759,11 +761,15 @@ impl Machine {
 
     // ----- proof tokens ------------------------------------------------------
 
-    /// Installs a proof token for the verified block at linear address
+    /// Installs the proof of the verified block at linear address
     /// `linear`, `len` bytes long, with `ds` carrying the block's DS
-    /// bounds proof (if it has one). The machine predecodes the block's
-    /// bytes itself — the caller asserts only the *proof* (that every DS
-    /// access stays at offsets `..=ds.hi`), never the decoding.
+    /// bounds proof (if it has one). The machine marks the bytes as code
+    /// and records the proof; it decodes nothing here. The block builder
+    /// turns the proof into a proven block the first time the block is
+    /// fetched, decoding the bytes itself — the caller asserts only the
+    /// *proof* (that every DS access stays at offsets `..=ds.hi`), never
+    /// the decoding. A proof whose length does not tile its instructions
+    /// is ignored there.
     ///
     /// Serving requires the predecode fast path; eliding DS checks also
     /// requires [`Machine::set_proof_elision`] to be on. A failed
@@ -787,59 +793,49 @@ impl Machine {
         if (phys & PAGE_MASK) as usize + len as usize + MAX_INSN_LEN > PAGE_SIZE as usize {
             return Err(ProofInstallError::CrossesPage);
         }
-        // Contiguity of the linear range follows: it fits one page too.
-        let bytes = self.host_read(linear, len as usize);
-        let (insns, tiled) = decode_block(&bytes, len as usize, usize::MAX, false);
-        if tiled != len as usize {
-            return Err(ProofInstallError::BadBytes);
-        }
-        // Track self-modification exactly like a lazily built block: mark
-        // the bytes as code and snapshot the slot's code generation.
+        // Track self-modification exactly like a built block: mark the
+        // bytes as code and snapshot the slot's code generation.
         let slot = self.mem.ensure_frame_slot(phys);
         self.mem
             .mark_code(slot, (phys & PAGE_MASK) as usize, len as usize);
         let gen = self.mem.slot_code_generation(slot);
-        let token = BlockToken {
-            start_phys: phys,
-            len,
-            insns,
-            ds,
-            slot,
-            gen,
-            verified: true,
-        };
-        let old = Arc::make_mut(&mut self.blocks).insert(phys, Arc::new(token));
-        if !old.is_some_and(|t| t.verified) {
-            self.proof_stats.installed += 1;
+        Arc::make_mut(&mut self.proofs).insert(phys, Proof { len, ds, gen });
+        // A block stored at this start was built without this proof.
+        if self.blocks.contains_key(&phys) {
+            Arc::make_mut(&mut self.blocks).remove(&phys);
         }
         Ok(())
     }
 
     /// Removes every installed proof token and stops any active run.
     /// Loaders call this when a module is unloaded or its pages are
-    /// repurposed; still-valid proofs can simply be reinstalled. Lazily
-    /// built blocks stay: they revalidate themselves.
+    /// repurposed; still-valid proofs can simply be reinstalled. Blocks
+    /// built without a proof stay: they revalidate themselves.
     pub fn clear_proof_tokens(&mut self) {
-        if self.proof_stats.installed > 0 {
+        if !self.proofs.is_empty() {
+            self.proofs = ProofIndex::default();
             Arc::make_mut(&mut self.blocks).retain(|_, t| !t.verified);
         }
         self.proof_run = None;
-        self.proof_stats.installed = 0;
     }
 
     /// Removes the proof token for the block at linear address `linear`,
-    /// if one is installed and the page is still mapped. Loaders call
-    /// this per block when one module's pages are revoked while others
-    /// keep running — unlike [`Machine::clear_proof_tokens`] it leaves
-    /// unrelated tokens in place.
+    /// if one is installed and the page is still mapped, together with
+    /// the block built from it. Loaders call this per block when one
+    /// module's pages are revoked while others keep running — unlike
+    /// [`Machine::clear_proof_tokens`] it leaves unrelated tokens in
+    /// place.
     pub fn remove_proof_token(&mut self, linear: u32) -> bool {
         let Some(phys) = self.host_translate(linear) else {
             return false;
         };
-        if !self.blocks.get(&phys).is_some_and(|t| t.verified) {
+        if !self.proofs.contains_key(&phys) {
             return false;
         }
-        Arc::make_mut(&mut self.blocks).remove(&phys);
+        Arc::make_mut(&mut self.proofs).remove(&phys);
+        if self.blocks.contains_key(&phys) {
+            Arc::make_mut(&mut self.blocks).remove(&phys);
+        }
         if self
             .proof_run
             .as_ref()
@@ -847,13 +843,12 @@ impl Machine {
         {
             self.proof_run = None;
         }
-        self.proof_stats.installed -= 1;
         true
     }
 
     /// Enables or disables cashing in verifier proofs.
     ///
-    /// Off, installed tokens are served like lazily built blocks: no DS
+    /// Off, proven blocks are served like straight-line blocks: no DS
     /// check is elided and nothing is counted in [`ProofStats`]. Like
     /// [`Machine::set_predecode`], a *host* knob: simulated cycles,
     /// statistics and faults are identical either way (the differential
@@ -872,6 +867,7 @@ impl Machine {
     /// Host-side proof-token counters.
     pub fn proof_stats(&self) -> ProofStats {
         ProofStats {
+            installed: self.proofs.len() as u64,
             served: self.block_served[1],
             ..self.proof_stats
         }
@@ -879,11 +875,11 @@ impl Machine {
 
     /// Number of installed proof tokens.
     pub fn proof_token_count(&self) -> usize {
-        self.proof_stats.installed as usize
+        self.proofs.len()
     }
 
     /// Stored block tokens (negative entries included) and the
-    /// instructions served from lazily built ones.
+    /// instructions served from straight-line ones.
     #[cfg(test)]
     pub(crate) fn lazy_block_stats(&self) -> (usize, u64) {
         (self.blocks.len(), self.block_served[0])
@@ -1523,11 +1519,9 @@ impl Machine {
         }
         // Not inside a run: attempt activation at a block boundary. The
         // bytes must still be what was predecoded (code generation): a
-        // lazily built block whose bytes changed is rebuilt, a stale
-        // verifier token is not (its proof was about the old bytes).
+        // block whose bytes changed is rebuilt.
         let token = match self.blocks.get(&phys0) {
             Some(t) if self.mem.slot_code_generation(t.slot) == t.gen => Arc::clone(t),
-            Some(t) if t.verified => return false,
             _ => match self.build_block(phys0, eip, cs) {
                 Some(t) => t,
                 None => return false,
@@ -1576,12 +1570,13 @@ impl Machine {
         self.proof_advance()
     }
 
-    /// Decodes the straight-line block at `phys0` (fetched at `eip`
-    /// through `cs`) up to and including its first control transfer,
-    /// and stores it as a lazily built token. Like an installed token,
-    /// the block plus one fetch window fits inside the page; it also
-    /// ends inside the CS limit. A block with no instruction is stored
-    /// too, as a negative entry. `None` when no block may be built here.
+    /// Builds and stores the token at `phys0` (fetched at `eip` through
+    /// `cs`): the proven block there when a valid proof starts there
+    /// (see [`proven_block`]), else the straight-line block up to and
+    /// including its first control transfer. Either way the block plus
+    /// one fetch window fits inside the page and the block ends inside
+    /// the CS limit. A block with no instruction is stored too, as a
+    /// negative entry. `None` when no block may be built here.
     #[inline(never)]
     fn build_block(&mut self, phys0: u32, eip: u32, cs: &SegCache) -> Option<Arc<BlockToken>> {
         if cs.expand_down {
@@ -1590,13 +1585,20 @@ impl Machine {
         // Only a frame the normal path has already backed: materializing
         // one here would be observable.
         let slot = self.mem.frame_slot(phys0)?;
+        let gen = self.mem.slot_code_generation(slot);
         let off = (phys0 & PAGE_MASK) as usize;
         // `eip <= cs.limit`: the fetch window was not empty.
         let room = (PAGE_SIZE as usize)
             .saturating_sub(off + MAX_INSN_LEN)
             .min((cs.limit - eip) as usize + 1);
         let bytes = self.mem.frame_data(phys0)?;
-        let (insns, len) = decode_block(&bytes[off..], room, MAX_BLOCK_INSNS, true);
+        let (insns, len, ds, verified) = match proven_block(&self.proofs, bytes, phys0, room, gen) {
+            Some((insns, len, ds)) => (insns, len, ds, true),
+            None => {
+                let (insns, len) = decode_block(&bytes[off..], room, MAX_BLOCK_INSNS, true);
+                (insns, len, None, false)
+            }
+        };
         if len > 0 {
             self.mem.mark_code(slot, off, len);
         }
@@ -1604,17 +1606,15 @@ impl Machine {
             start_phys: phys0,
             len: len as u32,
             insns,
-            ds: None,
+            ds,
             slot,
-            gen: self.mem.slot_code_generation(slot),
-            verified: false,
+            gen,
+            verified,
         });
-        let lazy = self.blocks.len() - self.proof_token_count();
-        let blocks = Arc::make_mut(&mut self.blocks);
-        if lazy >= MAX_LAZY_BLOCKS {
-            blocks.retain(|_, t| t.verified);
+        if self.blocks.len() >= MAX_LAZY_BLOCKS {
+            self.blocks = crate::proof::BlockMap::default();
         }
-        blocks.insert(phys0, Arc::clone(&token));
+        Arc::make_mut(&mut self.blocks).insert(phys0, Arc::clone(&token));
         Some(token)
     }
 
@@ -1963,6 +1963,47 @@ impl Machine {
             Descriptor::Gate(g) => g.present,
         })
     }
+}
+
+/// The proven block at `phys0`, whose frame holds `frame` at code
+/// generation `gen`: the instructions of the proof that starts there
+/// and, when it carries DS facts, of the address-adjacent DS-proven
+/// proofs after it, within `room` bytes. A proof counts only while its
+/// generation is `gen` and its instructions tile its length. Returns
+/// the instructions, the bytes they tile and the merged DS facts;
+/// `None` when no such proof starts at `phys0`.
+fn proven_block(
+    proofs: &ProofIndex,
+    frame: &[u8],
+    phys0: u32,
+    room: usize,
+    gen: u64,
+) -> Option<(Vec<TokenInsn>, usize, Option<ProofDs>)> {
+    let off = (phys0 & PAGE_MASK) as usize;
+    let mut insns = Vec::new();
+    let mut len = 0usize;
+    let mut ds: Option<ProofDs> = None;
+    while let Some(p) = proofs.get(&(phys0 + len as u32)) {
+        let end = len + p.len as usize;
+        if p.gen != gen || end > room || (len > 0 && (ds.is_none() || p.ds.is_none())) {
+            break;
+        }
+        let (more, tiled) = decode_block(&frame[off + len..], p.len as usize, usize::MAX, false);
+        if tiled != p.len as usize {
+            break;
+        }
+        insns.extend(more);
+        ds = match (ds, p.ds) {
+            (Some(a), Some(b)) => Some(ProofDs {
+                hi: a.hi.max(b.hi),
+                loads: a.loads || b.loads,
+                stores: a.stores || b.stores,
+            }),
+            _ => p.ds,
+        };
+        len = end;
+    }
+    (len > 0).then_some((insns, len, ds))
 }
 
 /// Decodes the instructions at the start of `code` that end within its

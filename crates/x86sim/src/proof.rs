@@ -1,30 +1,42 @@
-//! Block tokens: the fetch path's one store of predecoded straight-line
-//! blocks, in which a verifier proof only adds DS check elision.
+//! Block tokens: the fetch path's one store of predecoded blocks, in
+//! which a verifier proof only adds DS check elision.
 //!
 //! A `BlockToken` holds a block's instructions predecoded, keyed by the
 //! physical address of its first byte. The fetch path serves a block's
 //! instructions from the token while a single *hoisted* entry guard —
 //! evaluated once at block entry instead of once per fetch — stands in
 //! for the per-instruction CS window check, translation and decode.
-//! Tokens come from two places:
+//! One builder makes every token, on demand: a full-path fetch that
+//! finds no token at its physical address builds one there. What it
+//! builds depends on whether a verifier proof starts there:
 //!
-//! - **Lazily built blocks.** A full-path fetch that finds no token at
-//!   its physical address decodes the straight-line block starting there
-//!   (up to and including the first control transfer) and stores it.
-//!   These need no verifier: everything the entry guard checks is a
-//!   property of the machine, not of the code. The store keeps at most
-//!   `MAX_LAZY_BLOCKS` of them; past that it drops them all and
-//!   rebuilds on demand.
-//! - **Verifier proofs.** The static verifier (crate `verifier`) emits,
-//!   with every accepted module, a proof map: per basic block, the facts
-//!   it *proved* — most usefully that every effective-DS access in the
-//!   block falls inside one static offset range. A loader that trusts the
-//!   verifier cashes those in with
-//!   [`crate::machine::Machine::install_proof_token`]; while the DS part
-//!   of the entry guard holds, the per-access DS segment check inside the
-//!   block is skipped too. [`ProofStats`] counts only these tokens;
-//!   instructions served from lazily built blocks count as predecode
-//!   hits.
+//! - **No proof: a straight-line block.** The builder decodes up to and
+//!   including the first control transfer. Everything the entry guard
+//!   checks is a property of the machine, not of the code, so this
+//!   needs no verifier.
+//! - **A proof: a proven block.** The static verifier (crate
+//!   `verifier`) emits, with every accepted module, a proof map: per
+//!   basic block, the DS facts it *proved*, most usefully that every
+//!   effective-DS access in the block falls inside one static offset
+//!   range. A loader that trusts the verifier records each proof with
+//!   [`crate::machine::Machine::install_proof_token`], which stores a
+//!   small [`Proof`] record and decodes nothing. The builder decodes
+//!   the proven block and, when it carries DS facts, chains the
+//!   address-adjacent DS-proven blocks after it into one *superblock*
+//!   inside the page and CS room, checking that the instructions tile
+//!   every proof. The merged guard uses the maximum of the chained
+//!   bounds, which every chained access respects. A block without DS
+//!   facts ends the chain, because the proof map does not distinguish
+//!   "no DS access" from "access the verifier could not bound". A
+//!   taken branch inside a superblock breaks the run at the next
+//!   fetch, and the target gets a block of its own. While the DS part
+//!   of the entry guard holds, the per-access DS segment check inside
+//!   a proven block is skipped too. [`ProofStats`] counts only proven
+//!   blocks; instructions served from straight-line blocks count as
+//!   predecode hits.
+//!
+//! The store keeps at most `MAX_LAZY_BLOCKS` tokens; past that it
+//! drops them all and rebuilds on demand.
 //!
 //! This is a **host** fast path: simulated cycles, statistics and faults
 //! are byte-identical with tokens on or off, because every check it skips is one whose
@@ -38,10 +50,12 @@
 //! Invalidation:
 //!
 //! - **Self-modifying code** — a token records the code generation of
-//!   its frame's slab slot when it is built; every activation revalidates
-//!   it, and any store that overlaps bytes marked as code bumps the
-//!   generation ([`crate::mem::PhysMem::mark_code`]). A lazily built
-//!   block whose generation moved is rebuilt from the current bytes.
+//!   its frame's slab slot when it is built, and a proof records it
+//!   when it is installed; any store that overlaps bytes marked as code
+//!   bumps the generation ([`crate::mem::PhysMem::mark_code`]). Every
+//!   activation revalidates the token's generation and rebuilds a stale
+//!   one from the current bytes. A proof whose generation moved is
+//!   ignored: its facts were about the old bytes.
 //! - **Remapping** — tokens are keyed by *physical* block start, and
 //!   every serve re-runs the (memoized) fetch translation and compares;
 //!   changing the mapping makes the comparison miss and the fetch falls
@@ -84,6 +98,25 @@ pub struct ProofDs {
     pub stores: bool,
 }
 
+/// An installed verifier proof, keyed by the physical address of the
+/// block's first byte: what the block builder needs to turn it into a
+/// proven block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Proof {
+    /// Block length in bytes; the block plus a trailing
+    /// [`crate::machine::MAX_INSN_LEN`] window fits inside its page.
+    pub(crate) len: u32,
+    /// DS facts, when the block carries a DS bounds proof.
+    pub(crate) ds: Option<ProofDs>,
+    /// Code generation of the block's slab slot at installation. A
+    /// proof whose slot has moved on is about bytes that are gone.
+    pub(crate) gen: u64,
+}
+
+/// Installed proofs by physical block start, shared copy-on-write across
+/// forks like [`BlockMap`]. Never iterated or serialized.
+pub(crate) type ProofIndex = Arc<HashMap<u32, Proof, U32HashBuilder>>;
+
 /// A block token: the block's instructions predecoded, plus what the
 /// entry guard must establish before they may be served.
 #[derive(Debug, Clone)]
@@ -92,8 +125,8 @@ pub(crate) struct BlockToken {
     pub(crate) start_phys: u32,
     /// Block length in bytes; the block plus a trailing
     /// [`crate::machine::MAX_INSN_LEN`] window fits inside its page, so
-    /// serving never needs a second translation. 0 for a lazily built
-    /// negative entry: no block can start here.
+    /// serving never needs a second translation. 0 for a negative
+    /// entry: no block can start here.
     pub(crate) len: u32,
     /// The block's instructions, tiling exactly `len` bytes.
     pub(crate) insns: Vec<TokenInsn>,
@@ -103,18 +136,18 @@ pub(crate) struct BlockToken {
     pub(crate) slot: u32,
     /// Code generation of that slot when the token was built.
     pub(crate) gen: u64,
-    /// Installed from a verifier proof (counted in [`ProofStats`]) rather
-    /// than built lazily by the fetch path.
+    /// Built from installed proofs (counted in [`ProofStats`]) rather
+    /// than as a straight-line block.
     pub(crate) verified: bool,
 }
 
-/// Most lazily built blocks (negative entries included) one machine
-/// keeps; reaching it drops them all. Each holds at most
-/// [`MAX_BLOCK_INSNS`] instructions.
+/// Most blocks (negative entries included) one machine keeps; reaching
+/// it drops them all.
 pub(crate) const MAX_LAZY_BLOCKS: usize = 4096;
 
-/// Longest lazily built block, in instructions: longer straight-line
-/// code is split into consecutive blocks.
+/// Longest straight-line block, in instructions: longer straight-line
+/// code is split into consecutive blocks. Proven blocks are bounded by
+/// their proofs and the page instead.
 pub(crate) const MAX_BLOCK_INSNS: usize = 32;
 
 /// The block store: physical block start → token. `Arc` so world forks
@@ -178,15 +211,15 @@ pub(crate) struct ProofRun {
     pub(crate) verified: bool,
 }
 
-/// Host-side counters of verifier-installed tokens (never part of
-/// simulated state). Lazily built blocks are not counted here.
+/// Host-side counters of proven blocks (never part of simulated state).
+/// Straight-line blocks are not counted here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProofStats {
-    /// Tokens currently installed.
+    /// Proofs currently installed.
     pub installed: u64,
-    /// Entry guards that held (token runs started).
+    /// Entry guards that held (proven-block runs started).
     pub activations: u64,
-    /// Instructions served from tokens.
+    /// Instructions served from proven blocks.
     pub served: u64,
     /// DS accesses whose per-access check was elided.
     pub ds_elided: u64,
@@ -194,8 +227,8 @@ pub struct ProofStats {
     pub broken: u64,
 }
 
-/// Why a token could not be installed. Installation failure is never an
-/// error for the caller's correctness — a missing token only means the
+/// Why a proof could not be installed. Installation failure is never an
+/// error for the caller's correctness — a missing proof only means the
 /// block is served without DS elision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProofInstallError {
@@ -204,8 +237,6 @@ pub enum ProofInstallError {
     /// The block (plus the fetch lookahead window) does not fit inside
     /// one physical page.
     CrossesPage,
-    /// The block's bytes do not decode to instructions tiling its length.
-    BadBytes,
     /// Zero-length block.
     Empty,
 }

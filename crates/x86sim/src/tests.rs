@@ -1673,7 +1673,7 @@ mod proof_tokens {
     //! simulated behavior, invalidated by self-modification.
 
     use super::*;
-    use crate::proof::{ProofDs, ProofInstallError};
+    use crate::proof::{ProofDs, ProofInstallError, ProofStats};
 
     /// A straight-line block with DS loads and stores, then `hlt`. The
     /// token covers everything but the final `hlt`.
@@ -1798,11 +1798,6 @@ mod proof_tokens {
             Err(ProofInstallError::Empty)
         );
         assert_eq!(
-            m.install_proof_token(0x1000, len - 1, None),
-            Err(ProofInstallError::BadBytes),
-            "length not tiling instruction boundaries"
-        );
-        assert_eq!(
             m.install_proof_token(0x1FFC, 8, None),
             Err(ProofInstallError::CrossesPage)
         );
@@ -1811,6 +1806,17 @@ mod proof_tokens {
         assert_eq!(m.proof_token_count(), 1);
         m.clear_proof_tokens();
         assert_eq!(m.proof_token_count(), 0);
+        // A length that does not tile the instructions installs, but the
+        // block builder ignores it: the block runs unelided.
+        let w = twins(flat_machine(BLOCK_SRC), &[(0x1000, len - 1, DS)]);
+        assert_eq!(
+            w.proof_stats(),
+            ProofStats {
+                installed: 1,
+                ..ProofStats::default()
+            }
+        );
+        assert_eq!(w.predecode_stats().hits, 6, "five insns and the hlt");
     }
 
     #[test]
@@ -1825,6 +1831,230 @@ mod proof_tokens {
         assert_eq!(m.proof_stats().served, 0);
         f.clear_proof_tokens();
         assert_eq!(m.proof_token_count(), 1, "template keeps its token");
+    }
+
+    // ----- the block builder's chaining ------------------------------------
+
+    /// DS facts covering the data the chaining programs touch.
+    const DS: Option<ProofDs> = Some(ProofDs {
+        hi: 0x2007,
+        loads: true,
+        stores: true,
+    });
+
+    /// Linear addresses of the program at 0x1000, up to and including
+    /// its last `hlt` within `n` instructions.
+    fn insn_addrs(m: &Machine, n: usize) -> Vec<u32> {
+        let bytes = m.host_read(0x1000, 256);
+        let mut at = 0usize;
+        let mut out = Vec::new();
+        while out.len() < n {
+            let (_, len) = asm86::decode(&bytes[at..]).expect("decodable program");
+            out.push(0x1000 + at as u32);
+            at += len;
+        }
+        out
+    }
+
+    /// Installs `proofs` (linear start, length, DS facts) in two forks of
+    /// `m`, one with proof elision off, and runs both to `hlt`. Cycles,
+    /// instructions, exits and whole images must agree, and the unelided
+    /// twin must serve nothing as proven. Returns the elided world.
+    fn twins(m: Machine, proofs: &[(u32, u32, Option<ProofDs>)]) -> Machine {
+        let template = m.snapshot();
+        let (mut on, mut off) = (template.fork(), template.fork());
+        off.set_proof_elision(false);
+        for w in [&mut on, &mut off] {
+            for &(start, len, ds) in proofs {
+                w.install_proof_token(start, len, ds)
+                    .expect("proof installs");
+            }
+        }
+        assert_eq!(on.run(10_000), Exit::Hlt);
+        assert_eq!(off.run(10_000), Exit::Hlt);
+        assert_eq!(on.cycles(), off.cycles());
+        assert_eq!(on.insns(), off.insns());
+        assert_eq!(off.proof_stats().served, 0);
+        assert_eq!(off.proof_stats().ds_elided, 0);
+        assert_eq!(on.save_image(), off.save_image());
+        on
+    }
+
+    /// Proofs over consecutive instruction ranges: `bounds[i]..bounds[i+1]`
+    /// with `ds[i]`.
+    fn spans(
+        a: &[u32],
+        bounds: &[usize],
+        ds: &[Option<ProofDs>],
+    ) -> Vec<(u32, u32, Option<ProofDs>)> {
+        bounds
+            .windows(2)
+            .zip(ds)
+            .map(|(w, &ds)| (a[w[0]], a[w[1]] - a[w[0]], ds))
+            .collect()
+    }
+
+    /// Three blocks joined by not-taken branches, then `hlt`.
+    const THREE_BLOCKS: &str = "mov [0x2000], eax\n\
+         cmp eax, 1\n\
+         je out\n\
+         mov [0x2004], eax\n\
+         cmp eax, 2\n\
+         je out\n\
+         mov [0x2000], ebx\n\
+         cmp eax, 3\n\
+         je out\n\
+         out:\n\
+         hlt\n";
+
+    #[test]
+    fn adjacent_ds_blocks_run_as_one_proven_block() {
+        // Two DS-proven blocks in a loop: each pass is one activation of
+        // one run through both.
+        let src = "top:\n\
+                   add ecx, 1\n\
+                   mov [0x2000], ecx\n\
+                   cmp ecx, 100\n\
+                   je out\n\
+                   mov [0x2004], ecx\n\
+                   cmp ecx, 4\n\
+                   jne top\n\
+                   out:\n\
+                   hlt\n";
+        let m = flat_machine(src);
+        let a = insn_addrs(&m, 8);
+        let w = twins(m, &spans(&a, &[0, 4, 7], &[DS, DS]));
+        assert_eq!(w.cpu.reg(Reg::Ecx), 4);
+        assert_eq!(
+            w.proof_stats(),
+            ProofStats {
+                installed: 2,
+                activations: 4,
+                served: 28,
+                ds_elided: 8,
+                broken: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn entering_at_the_second_proof_runs_to_the_chain_end() {
+        let mut m = flat_machine(THREE_BLOCKS);
+        let a = insn_addrs(&m, 10);
+        m.cpu.eip = a[3];
+        let w = twins(m, &spans(&a, &[0, 3, 6, 9], &[DS, DS, DS]));
+        assert_eq!(
+            w.proof_stats(),
+            ProofStats {
+                installed: 3,
+                activations: 1,
+                served: 6,
+                ds_elided: 2,
+                broken: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn chain_stops_at_a_proof_without_ds_facts() {
+        // The middle block's store is one the verifier could not bound:
+        // its proof has no DS facts, so it runs as a proven block of its
+        // own and its access is checked.
+        let m = flat_machine(THREE_BLOCKS);
+        let a = insn_addrs(&m, 10);
+        let w = twins(m, &spans(&a, &[0, 3, 6, 9], &[DS, None, DS]));
+        assert_eq!(
+            w.proof_stats(),
+            ProofStats {
+                installed: 3,
+                activations: 3,
+                served: 9,
+                ds_elided: 2,
+                broken: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn chain_stops_at_the_cs_limit() {
+        // The third proof lies past the CS limit. A chain through it
+        // would fail the entry guard; the builder stops before it, so the
+        // first two blocks still run as one proven block. (Every
+        // installed proof fits its page with the fetch window, so the
+        // page part of the room cannot cut a chain of adjacent proofs.)
+        let src = "out:\n\
+                   hlt\n\
+                   top:\n\
+                   mov [0x2000], eax\n\
+                   cmp eax, 1\n\
+                   je out\n\
+                   mov [0x2004], eax\n\
+                   cmp eax, 0\n\
+                   je out\n\
+                   mov [0x2000], ebx\n\
+                   hlt\n";
+        let mut m = flat_machine(src);
+        let a = insn_addrs(&m, 9);
+        let cs = m.gdt.push(Descriptor::Code(crate::desc::CodeSeg {
+            base: 0,
+            limit: a[7] - 1,
+            dpl: 0,
+            readable: true,
+            conforming: false,
+            present: true,
+        }));
+        m.force_seg_from_table(SegReg::Cs, Selector::new(cs, false, 0));
+        m.cpu.eip = a[1];
+        let w = twins(m, &spans(&a, &[1, 4, 7, 8], &[DS, DS, DS]));
+        assert_eq!(
+            w.proof_stats(),
+            ProofStats {
+                installed: 3,
+                activations: 1,
+                served: 6,
+                ds_elided: 2,
+                broken: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn proof_over_stored_bytes_gives_an_unelided_block() {
+        // The program patches the proven block's immediate before
+        // reaching it: the proof is about bytes that are gone, so the
+        // block is built as a plain straight-line block and served
+        // without elision.
+        let enc5 = enc("add eax, 5\n");
+        let enc9 = enc("add eax, 9\n");
+        let w = enc5.iter().zip(&enc9).position(|(a, b)| a != b).unwrap();
+        let patch = u32::from_le_bytes(enc9[w..w + 4].try_into().unwrap());
+        let src = |at: u32| {
+            format!(
+                "mov ebx, 0x{patch:08X}\n\
+                 mov [0x{at:08X}], ebx\n\
+                 add eax, 5\n\
+                 mov [0x2000], eax\n\
+                 hlt\n"
+            )
+        };
+        // Every operand is fixed-width, so the probe's layout is final.
+        let a = insn_addrs(&flat_machine(&src(0x9999_9999)), 5);
+        let m = flat_machine(&src(a[2] + w as u32));
+        let run = twins(m, &spans(&a, &[2, 4], &[DS]));
+        assert_eq!(run.cpu.reg(Reg::Eax), 9, "the patched add ran");
+        assert_eq!(
+            run.proof_stats(),
+            ProofStats {
+                installed: 1,
+                ..ProofStats::default()
+            }
+        );
+        let stats = run.predecode_stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (5, 0),
+            "every instruction served from a block, none decoded uncached"
+        );
     }
 }
 

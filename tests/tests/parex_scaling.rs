@@ -119,11 +119,10 @@ fn webserver_sharded_run_is_job_count_invariant() {
     }
 }
 
-// ---- scaling benchmark: fixed decomposition --------------------------------
+// ---- sharded bench workloads: fixed decomposition -------------------------
 
-/// The BENCH scaling section's precondition: guest work per workload is
-/// a function of the shard decomposition only, never of the worker
-/// count driving it.
+/// The sharded workloads' guest work is a function of the shard
+/// decomposition only, never of the worker count driving it.
 #[test]
 fn scaling_bench_guest_work_is_worker_count_invariant() {
     let pts = bench::measure_scaling_with(4, 15, 50, 12, &[1, 8]);
