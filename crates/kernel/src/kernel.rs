@@ -236,7 +236,7 @@ impl Kernel {
             m.mem.write_u32(kernel_cr3 + idx * 4, *val);
         }
         m.mmu.set_cr3(kernel_cr3);
-        m.mmu.enabled = true;
+        m.mmu.set_enabled(true);
 
         Kernel {
             m,

@@ -7,7 +7,7 @@
 //! for detection, not compactness:
 //!
 //! ```text
-//! magic[4] version:u32(=3) kind:u32 nsec:u32
+//! magic[4] version:u32(=VERSION) kind:u32 nsec:u32
 //!   ( id:u32 len:u32 payload[len] crc32(payload) )*   // ids strictly ascending
 //! crc32(everything above)
 //! ```

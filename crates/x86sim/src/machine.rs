@@ -4,6 +4,10 @@
 //! Every memory access performs the full protection pipeline of Figure 1
 //! of the paper: segment-register cache → limit check → segment rights
 //! check → linear address → TLB/page walk → page-level rights check.
+//!
+//! An instruction fetch takes one of two paths: a predecoded block
+//! serves it, or the byte-wise reference fetch does (every fetch with
+//! predecode off, and any fetch no block serves with it on).
 
 use asm86::isa::{Insn, Reg, SegReg};
 use asm86::{decode, DecodeError};
@@ -25,8 +29,8 @@ use std::sync::Arc;
 pub const MAX_INSN_LEN: usize = 12;
 
 /// Host-side counters of the fetch fast path: instructions served from
-/// straight-line blocks, fetches decoded uncached, and the machine's
-/// translation-table misses.
+/// straight-line blocks, fetches that fell back to the byte-wise
+/// reference, and the machine's translation-table misses.
 ///
 /// Purely observational: they exist so benchmarks and tests can see the
 /// fast path working, and are deliberately *not* part of the simulated
@@ -36,9 +40,9 @@ pub struct PredecodeStats {
     /// Instructions served from straight-line blocks (and from proven
     /// blocks while proof elision is off).
     pub hits: u64,
-    /// Fetches no block served, decoded from memory by the fast path
-    /// (always 0 with predecode off: the byte-wise baseline counts
-    /// nothing).
+    /// Fetches served byte-wise with predecode on, because no block
+    /// served them (always 0 with predecode off: the byte-wise baseline
+    /// counts nothing).
     pub misses: u64,
     /// Fetch and data translations that missed the machine's
     /// direct-mapped translation tables and walked the MMU.
@@ -275,9 +279,9 @@ pub struct Machine {
     insns: u64,
     trace: Option<Trace>,
     predecode: bool,
-    /// Host-only count of fetches the fast path decoded uncached
+    /// Host-only count of fetches served byte-wise with predecode on
     /// (reported in [`PredecodeStats::misses`]). Never serialized.
-    decodes: u64,
+    bytewise: u64,
     /// Direct-mapped translation tables for code fetches, data reads
     /// and data writes; each entry stays valid while the TLB epoch,
     /// privilege and PKRU are unchanged (see [`PageMemo`]).
@@ -491,7 +495,7 @@ impl Machine {
             insns: 0,
             trace: None,
             predecode: true,
-            decodes: 0,
+            bytewise: 0,
             tables: Arc::new(Tables {
                 fetch: MemoTable::EMPTY,
                 read: MemoTable::EMPTY,
@@ -750,11 +754,12 @@ impl Machine {
 
     /// Host-side counters of the fetch fast path: instructions served
     /// from straight-line blocks (or from proven blocks while proof
-    /// elision is off), uncached decodes, and translation-table misses.
+    /// elision is off), fetches served byte-wise, and translation-table
+    /// misses.
     pub fn predecode_stats(&self) -> PredecodeStats {
         PredecodeStats {
             hits: self.block_served[0],
-            misses: self.decodes,
+            misses: self.bytewise,
             translation_misses: self.memo_misses,
         }
     }
@@ -1094,7 +1099,7 @@ impl Machine {
         linear: u32,
         write: bool,
     ) -> Result<(u32, u32), FaultBuilder> {
-        if !(self.mmu.enabled && self.predecode) {
+        if !(self.mmu.enabled() && self.predecode) {
             return self.translate_data(linear, write).map(|p| (p, NO_SLOT));
         }
         let user = self.cpu.cpl == 3;
@@ -1283,34 +1288,34 @@ impl Machine {
     /// `self.fetched`.
     ///
     /// The prefetch window is at most [`MAX_INSN_LEN`] bytes, clipped by
-    /// the segment limit; translation happens **per page**, not per byte
-    /// (one walk for the window's first page, one more only when the
-    /// window crosses a page boundary — the same `Event::TlbMiss` charges
-    /// and A-bit side effects as a byte-wise walk, since every byte of a
-    /// page shares its translation). A translation fault on the *second*
-    /// page is deferred: the decoder runs on the bytes that are mapped,
-    /// and the #PF is raised only if the instruction actually needed the
-    /// missing bytes.
+    /// the segment limit. A translation fault on the window's first page
+    /// is raised at once; one on a *second* page is deferred: the decoder
+    /// runs on the bytes that are mapped, and the #PF is raised only if
+    /// the instruction actually needed the missing bytes. Every path
+    /// charges the same `Event::TlbMiss` walks and counts one TLB hit
+    /// per page touched, since every byte of a page shares its
+    /// translation.
     ///
-    /// With predecode on, a fetch is either served from a block token
-    /// (see [`crate::proof`]) or decoded uncached from memory; with it
-    /// off, the byte-wise baseline decodes every fetch. The fetched
-    /// record holds the instruction, its length and its base cycle cost
-    /// ([`cycles::measured_cost`], precomputed in a block token).
+    /// With predecode on, a fetch is served from a block token (see
+    /// [`crate::proof`]), else by the byte-wise reference
+    /// [`Machine::fetch_bytewise`]; with it off, the byte-wise reference
+    /// serves every fetch. The fetched record holds the instruction, its
+    /// length and its base cycle cost ([`cycles::measured_cost`],
+    /// precomputed in a block token).
     ///
     /// Only the block paths are inlined into the run loop: the token
     /// continuation, the expand-up window, the memoized translation and
-    /// a block activation. The uncached decode, the byte-wise baseline
-    /// and the expand-down probe are separate functions.
+    /// a block activation. The byte-wise fetch and the expand-down probe
+    /// are separate functions.
     #[inline(always)]
     fn fetch(&mut self) -> Result<(), FaultBuilder> {
         self.ds_elide_now = false;
         let eip = self.cpu.eip;
         // Hot continuation of an active token run: while the guard
-        // inputs are provably unchanged (segment-write generation, MMU
-        // epoch, code generation) everything below — including the CS
-        // validity check, the window computation, the translation and
-        // the block-map probe — would reproduce what the run already
+        // stamp is unchanged (segment-write generation, MMU epoch, code
+        // epoch) everything below — including the CS validity check, the
+        // window computation, the translation and the block-map probe —
+        // would reproduce what the run already
         // verified, so it is skipped wholesale. This is where the
         // hoisting pays: a served instruction costs a handful of
         // compares. Falls through to the full path on any mismatch.
@@ -1348,74 +1353,51 @@ impl Machine {
                 },
             ));
         }
-        let lin0 = cs.base.wrapping_add(eip);
         if !self.predecode {
-            return self.fetch_bytewise(&cs, eip, window);
+            return self.fetch_bytewise(&cs, eip, window, false);
         }
 
         // Translate the window's first page: a fault here is fatal (not
         // even one byte can be fetched).
-        let phys0 = self.translate_fetch_fast(lin0)?;
+        let phys0 = self.translate_fetch_fast(cs.base.wrapping_add(eip))?;
 
         // Block fast path: serve the instruction from a block token when
-        // the block's hoisted entry guard (still) holds. The
-        // serve is host-only — the translation above already performed
-        // the same (memoized) work the normal path does, the token block
+        // the block's hoisted entry guard (still) holds. The serve is
+        // host-only — the translation above already performed the same
+        // (memoized) work the byte-wise reference does, the token block
         // never spans a second page, and the precomputed cost is the one
-        // the normal decode would derive — so cycles, stats and faults
-        // are byte-identical to the normal path below.
+        // the reference's decode would derive — so cycles, stats and
+        // faults are byte-identical to the reference below.
         if self.proof_serve(phys0, eip, &cs) {
             return Ok(());
         }
-        self.fetch_decode(&cs, eip, window, phys0)
+        self.bytewise += 1;
+        self.fetch_bytewise(&cs, eip, window, true)
     }
 
-    /// A fetch no block served: copies the `window` bytes at `eip`
-    /// (first page at `phys0`) and decodes them uncached. The second
-    /// page, when the window crosses one, is translated here; a fault
-    /// on it is deferred to [`Machine::decode_fetched`], which raises it
-    /// only if the decoder needed the missing bytes.
-    #[inline(never)]
-    fn fetch_decode(
-        &mut self,
-        cs: &SegCache,
-        eip: u32,
-        window: usize,
-        phys0: u32,
-    ) -> Result<(), FaultBuilder> {
-        self.decodes += 1;
-        let lin0 = cs.base.wrapping_add(eip);
-        let n_lo = window.min((PAGE_SIZE - (lin0 & PAGE_MASK)) as usize);
-        let mut buf = [0u8; MAX_INSN_LEN];
-        copy_page_bytes(&self.mem, phys0, &mut buf[..n_lo]);
-        let mut n = n_lo;
-        let mut pending = None;
-        if window > n_lo {
-            match self.translate_fetch(lin0.wrapping_add(n_lo as u32)) {
-                Ok(h) => {
-                    copy_page_bytes(&self.mem, h, &mut buf[n_lo..window]);
-                    n = window;
-                }
-                Err(fb) => pending = Some(fb),
-            }
-        }
-        self.decode_fetched(&buf[..n], cs, eip, window, pending)
-    }
-
-    /// Byte-wise fetch: the pre-fast-path reference implementation, kept
-    /// as the benchmark baseline (`set_predecode(false)`). It reproduces
-    /// the original algorithm's cost structure — a `check_limit` probe,
-    /// a translation and a physical read *per prefetched byte* — with
-    /// semantics identical to the per-page path, including the deferred
-    /// page-boundary fault. Like the per-page path, it counts one TLB hit
-    /// per page touched: a byte's translation after the first on its page
-    /// is a guaranteed hit, and its count is taken back.
+    /// Byte-wise fetch: the reference implementation, which serves every
+    /// fetch with predecode off (`set_predecode(false)`, the benchmark
+    /// baseline) and every fetch no block serves with it on. It keeps the
+    /// original algorithm's cost structure — a `check_limit` probe, a
+    /// translation and a physical read *per prefetched byte* — and
+    /// defers a fault on the window's second page. Like a block serve,
+    /// it counts one TLB hit per page touched: a byte's translation after
+    /// the first on its page is a guaranteed hit, and its count is taken
+    /// back. With `first_counted` the caller has already translated (and
+    /// counted) the first byte's page, so the first byte's hit is taken
+    /// back too.
+    ///
+    /// A decode that runs out of bytes raises what cut the prefetch
+    /// short: the deferred second-page fault if there is one, else #GP(0)
+    /// when the CS limit clipped the `window` (the instruction straddles
+    /// the limit).
     #[inline(never)]
     fn fetch_bytewise(
         &mut self,
         cs: &SegCache,
         eip: u32,
         window: usize,
+        first_counted: bool,
     ) -> Result<(), FaultBuilder> {
         let mut buf = [0u8; MAX_INSN_LEN];
         let mut n = 0usize;
@@ -1434,7 +1416,12 @@ impl Machine {
                     break;
                 }
             }
-            if n > 0 && linear & PAGE_MASK != 0 {
+            let page_counted = if n == 0 {
+                first_counted
+            } else {
+                linear & PAGE_MASK != 0
+            };
+            if page_counted {
                 self.mmu.stats.hits = hits;
             }
             n += 1;
@@ -1443,24 +1430,7 @@ impl Machine {
             // The very first byte is unmapped: nothing to decode.
             return Err(pending.expect("window > 0, so the loop ran"));
         }
-        self.decode_fetched(&buf[..n], cs, eip, window, pending)
-    }
-
-    /// Decodes the prefetched `bytes` of the instruction at `eip` into
-    /// `self.fetched`: the shared tail of [`Machine::fetch_decode`] and
-    /// [`Machine::fetch_bytewise`]. A decode that runs out of bytes
-    /// raises what cut the prefetch short: the deferred second-page
-    /// fault `pending` if there is one, else #GP(0) when the CS limit
-    /// clipped the `window` (the instruction straddles the limit).
-    fn decode_fetched(
-        &mut self,
-        bytes: &[u8],
-        cs: &SegCache,
-        eip: u32,
-        window: usize,
-        pending: Option<FaultBuilder>,
-    ) -> Result<(), FaultBuilder> {
-        match decode(bytes) {
+        match decode(&buf[..n]) {
             Ok((insn, len)) => {
                 self.fetched = TokenInsn {
                     insn,
@@ -1502,15 +1472,11 @@ impl Machine {
                     && self.mem.slot_code_generation(run.slot) == run.gen;
                 if live {
                     // The translation and the slot's code generation
-                    // were just re-verified: re-sync the hot-path guard
-                    // inputs so the next fetch can take the fast
-                    // continuation again.
-                    let (epoch, paged) = (self.mmu.epoch(), self.mmu.enabled);
-                    let code_epoch = self.mem.code_epoch();
-                    let run = self.proof_run.as_mut().expect("checked above");
-                    run.epoch = epoch;
-                    run.paged = paged;
-                    run.code_epoch = code_epoch;
+                    // were just re-verified: re-arm the hot-path stamp
+                    // so the next fetch can take the fast continuation
+                    // again.
+                    let stamp = self.armed_stamp();
+                    self.proof_run.as_mut().expect("checked above").stamp = stamp;
                     return self.proof_advance();
                 }
                 self.proof_stats.broken += u64::from(run.verified);
@@ -1554,14 +1520,12 @@ impl Machine {
             count: token.insns.len(),
             slot: token.slot,
             gen: token.gen,
-            code_epoch: self.mem.code_epoch(),
+            stamp: self.armed_stamp(),
             token,
             expect_eip: eip,
             expect_phys: phys0,
             start_eip: eip,
             start_phys: phys0,
-            epoch: self.mmu.epoch(),
-            paged: self.mmu.enabled,
             seg_gen: self.seg_gen,
             ds_elide,
             verified,
@@ -1622,15 +1586,16 @@ impl Machine {
     /// or re-arms a completed one across a loop back edge — without the
     /// window computation, translation or block-map probe of the full
     /// fetch path. Sound because every input those steps depend on is
-    /// compared against the values the run verified when it last went
-    /// through the full path: the segment-write generation (so the
-    /// CS/DS caches and the CPL — the memo's `user` key — are
-    /// bit-identical to what the entry guard validated), the MMU epoch
-    /// with paging still on (the fetch table would return the same
-    /// translation), and the global code-invalidation epoch (no frame's
-    /// code generation moved, so the bytes are still the predecoded
-    /// ones). Any mismatch falls back to the full path, which breaks or
-    /// re-verifies the run with a real translation in hand.
+    /// covered by the guard stamp the run armed when it last went
+    /// through the full path ([`ProofRun::stamp`]): the segment-write
+    /// generation (so the CS/DS caches and the CPL — the memo's `user`
+    /// key — are bit-identical to what the entry guard validated), the
+    /// MMU epoch (paging is still on and the fetch table would return
+    /// the same translation), and the global code-invalidation epoch (no
+    /// frame's code generation moved, so the bytes are still the
+    /// predecoded ones). So it tests two things: EIP and the stamp. Any
+    /// mismatch falls back to the full path, which breaks or re-verifies
+    /// the run with a real translation in hand.
     ///
     /// The skipped memoized translation is accounted as the memo hit it
     /// would have been (`Mmu::count_memo_hit`), so the serialized TLB
@@ -1642,13 +1607,7 @@ impl Machine {
         };
         let done = run.idx == run.count;
         let expect = if done { run.start_eip } else { run.expect_eip };
-        if eip != expect
-            || self.seg_gen != run.seg_gen
-            || !run.paged
-            || !self.mmu.enabled
-            || self.mmu.epoch() != run.epoch
-            || self.mem.code_epoch() != run.code_epoch
-        {
+        if eip != expect || self.guard_stamp() != run.stamp {
             return false;
         }
         self.mmu.count_memo_hit();
@@ -1662,6 +1621,27 @@ impl Machine {
             self.proof_stats.activations += u64::from(run.verified);
         }
         self.proof_advance()
+    }
+
+    /// The guard stamp: the segment-write generation plus the MMU epoch
+    /// plus the code epoch. Each only grows, so the sum moves exactly
+    /// when one of them does (see [`ProofRun::stamp`]).
+    #[inline(always)]
+    fn guard_stamp(&self) -> u64 {
+        self.seg_gen
+            .wrapping_add(self.mmu.epoch())
+            .wrapping_add(self.mem.code_epoch())
+    }
+
+    /// The stamp a token run arms with: the live [`Machine::guard_stamp`]
+    /// under paging. With paging off it is one less, a value the
+    /// only-growing sum has already passed and never matches again, so
+    /// the hot path never serves a run armed without paging: it counts
+    /// the TLB hit a memoized translation would have, and an identity
+    /// translation counts none.
+    fn armed_stamp(&self) -> u64 {
+        self.guard_stamp()
+            .wrapping_sub(u64::from(!self.mmu.enabled()))
     }
 
     /// Serves the active run's next instruction into `self.fetched` and
@@ -1690,10 +1670,10 @@ impl Machine {
     /// machine.
     #[inline]
     fn translate_fetch_fast(&mut self, linear: u32) -> Result<u32, FaultBuilder> {
-        // Memoize only under paging: `enabled` is a plain field that can
-        // be toggled without a flush, so identity translations must not
-        // be cached across an enable.
-        if !self.mmu.enabled {
+        // Memoize only under paging: turning paging on does not advance
+        // the epoch, so an identity translation cached with paging off
+        // would survive the enable.
+        if !self.mmu.enabled() {
             return self.translate_fetch(linear);
         }
         let page = linear & !PAGE_MASK;
@@ -1913,7 +1893,7 @@ impl Machine {
     }
 
     fn host_translate(&self, linear: u32) -> Option<u32> {
-        if !self.mmu.enabled {
+        if !self.mmu.enabled() {
             return Some(linear);
         }
         let pte_val = crate::paging::get_pte(&self.mem, self.mmu.cr3, linear)?;
@@ -2042,15 +2022,4 @@ fn expand_down_window(cs: &SegCache, eip: u32) -> usize {
         w += 1;
     }
     w
-}
-
-/// Copies `out.len()` bytes starting at physical `phys` out of a single
-/// frame (the caller guarantees the range does not cross one). Unbacked
-/// frames read as zeros, like [`PhysMem::read_u8`].
-fn copy_page_bytes(mem: &PhysMem, phys: u32, out: &mut [u8]) {
-    let off = (phys & PAGE_MASK) as usize;
-    match mem.frame_data(phys) {
-        Some(f) => out.copy_from_slice(&f[off..off + out.len()]),
-        None => out.fill(0),
-    }
 }

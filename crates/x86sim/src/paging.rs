@@ -138,13 +138,14 @@ pub struct TlbStats {
 pub struct Mmu {
     /// Physical base of the page directory.
     pub cr3: u32,
-    /// Paging enable (CR0.PG).
-    pub enabled: bool,
+    /// Paging enable (CR0.PG); written only through [`Mmu::set_enabled`].
+    enabled: bool,
     tlb: HashMap<u32, TlbEntry, U32HashBuilder>,
     /// Advances on every invalidation (full flush or single-page flush) —
-    /// the only operations that remove or change a live TLB entry. A
-    /// caller holding a memoized translation (the machine's translation
-    /// tables) revalidates against this instead of re-probing the TLB.
+    /// the only operations that remove or change a live TLB entry — and
+    /// when paging turns off. A caller holding a memoized translation
+    /// (the machine's translation tables) revalidates against this
+    /// instead of re-probing the TLB. It only ever grows.
     epoch: u64,
     /// Statistics counters.
     pub stats: TlbStats,
@@ -170,6 +171,23 @@ impl Mmu {
     pub fn set_cr3(&mut self, cr3: u32) {
         self.cr3 = cr3 & pte::FRAME;
         self.flush();
+    }
+
+    /// Whether paging is enabled (CR0.PG).
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Sets CR0.PG. Turning paging off advances the epoch, so no
+    /// translation memoized or token run armed under paging survives it;
+    /// turning it on does not need to, because callers memoize nothing
+    /// while paging is off.
+    pub fn set_enabled(&mut self, on: bool) {
+        if self.enabled && !on {
+            self.epoch += 1;
+        }
+        self.enabled = on;
     }
 
     /// Flushes the entire TLB.
@@ -555,7 +573,7 @@ mod tests {
         let mut mmu = Mmu::new();
         let cr3 = fa.alloc().unwrap();
         mmu.set_cr3(cr3);
-        mmu.enabled = true;
+        mmu.set_enabled(true);
         (mem, fa, mmu)
     }
 

@@ -20,7 +20,7 @@
 //!   effective-DS access in the block falls inside one static offset
 //!   range. A loader that trusts the verifier records each proof with
 //!   [`crate::machine::Machine::install_proof_token`], which stores a
-//!   small [`Proof`] record and decodes nothing. The builder decodes
+//!   small `Proof` record and decodes nothing. The builder decodes
 //!   the proven block and, when it carries DS facts, chains the
 //!   address-adjacent DS-proven blocks after it into one *superblock*
 //!   inside the page and CS room, checking that the instructions tile
@@ -178,11 +178,16 @@ pub(crate) struct ProofRun {
     pub(crate) slot: u32,
     /// Flat copy of `token.gen`.
     pub(crate) gen: u64,
-    /// [`crate::mem::PhysMem::code_epoch`] at the last full-path
-    /// validation of the slot's code generation. While it is unchanged
-    /// no frame's code generation moved, so the hot path substitutes one
-    /// inline compare for the slab read.
-    pub(crate) code_epoch: u64,
+    /// The machine's guard stamp at the last full-path validation: the
+    /// sum of its segment-write generation, the MMU epoch and
+    /// [`crate::mem::PhysMem::code_epoch`], or a sentinel no sum reaches
+    /// when paging was off. All three counters only grow, so the sum is
+    /// unchanged exactly while none of them moved: the CS/DS caches and
+    /// the CPL are what the entry guard validated, the fetch translation
+    /// is the one the fetch table would return (paging is still on, as
+    /// turning it off bumps the epoch), and no frame's code generation
+    /// moved. One compare stands in for all of that on the hot path.
+    pub(crate) stamp: u64,
     /// EIP the next fetch must be at.
     pub(crate) expect_eip: u32,
     /// Physical address the next fetch must translate to.
@@ -191,16 +196,10 @@ pub(crate) struct ProofRun {
     pub(crate) start_eip: u32,
     /// Physical address of the block's first byte.
     pub(crate) start_phys: u32,
-    /// MMU invalidation epoch at the last verified translation; while it
-    /// is unchanged (and paging stayed on) the fetch translation is the
-    /// one the page memo would return, so the hot path may skip it.
-    pub(crate) epoch: u64,
-    /// Paging was enabled at the last verified translation.
-    pub(crate) paged: bool,
-    /// The machine's segment-write generation at activation. Unchanged
-    /// means the CS/DS caches and the CPL are bit-identical to what the
-    /// entry guard validated (every path that changes any of them writes
-    /// a segment cache); one `u64` compare stands in for all three.
+    /// The machine's segment-write generation at activation, for the
+    /// full path's live-run check. Unchanged means the CS/DS caches and
+    /// the CPL are bit-identical to what the entry guard validated
+    /// (every path that changes any of them writes a segment cache).
     pub(crate) seg_gen: u64,
     /// Whether the DS entry guard held: per-access DS checks inside the
     /// block are skipped.

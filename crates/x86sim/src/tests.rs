@@ -253,7 +253,7 @@ fn user_write_to_supervisor_page_faults() {
     map_page(&mut m.mem, &mut fa, cr3, 0x7000, 0x7000, pte::RW | pte::US);
     map_page(&mut m.mem, &mut fa, cr3, 0x5000, 0x5000, pte::RW);
     m.mmu.set_cr3(cr3);
-    m.mmu.enabled = true;
+    m.mmu.set_enabled(true);
 
     let obj = Assembler::assemble(
         "mov eax, 1\n\
@@ -610,7 +610,7 @@ fn host_helpers_bypass_protection() {
     let cr3 = fa.alloc().unwrap();
     map_page(&mut m.mem, &mut fa, cr3, 0x5000, 0x6000, pte::RW); // PPL 0
     m.mmu.set_cr3(cr3);
-    m.mmu.enabled = true;
+    m.mmu.set_enabled(true);
 
     assert!(m.host_write_u32(0x5010, 0xFEED));
     assert_eq!(m.host_read_u32(0x5010), 0xFEED);
@@ -629,7 +629,7 @@ fn tlb_miss_charges_cycles() {
         map_page(&mut m.mem, &mut fa, cr3, page, page, pte::RW | pte::US);
     }
     m.mmu.set_cr3(cr3);
-    m.mmu.enabled = true;
+    m.mmu.set_enabled(true);
 
     let obj = Assembler::assemble("mov eax, [0x2000]\nmov ebx, [0x2004]\nhlt\n").unwrap();
     m.mem
@@ -1055,7 +1055,7 @@ fn straddling_store_is_atomic_across_a_fault() {
     }
     // 0x3000 is NOT mapped; the store at 0x2FFE straddles into it.
     m.mmu.set_cr3(cr3);
-    m.mmu.enabled = true;
+    m.mmu.set_enabled(true);
 
     let obj = Assembler::assemble(
         "mov eax, 0x11223344\n\
@@ -1194,7 +1194,7 @@ fn paged_code_page_only() -> Machine {
     let cr3 = fa.alloc().unwrap();
     map_page(&mut m.mem, &mut fa, cr3, 0x1000, 0x1000, pte::RW | pte::US);
     m.mmu.set_cr3(cr3);
-    m.mmu.enabled = true;
+    m.mmu.set_enabled(true);
     m.force_seg_from_table(SegReg::Cs, Selector::new(code0, false, 0));
     m.force_seg_from_table(SegReg::Ss, Selector::new(data0, false, 0));
     m.force_seg_from_table(SegReg::Ds, Selector::new(data0, false, 0));
@@ -1454,7 +1454,7 @@ fn predecode_fast_path_is_cycle_neutral() {
             map_page(&mut m.mem, &mut fa, cr3, page, page, pte::RW | pte::US);
         }
         m.mmu.set_cr3(cr3);
-        m.mmu.enabled = true;
+        m.mmu.set_enabled(true);
         let obj = Assembler::assemble(
             "mov eax, 0\n\
              mov ecx, 50\n\
@@ -1532,7 +1532,7 @@ mod checkpoint {
             ));
         }
         m.mmu.set_cr3(cr3);
-        m.mmu.enabled = true;
+        m.mmu.set_enabled(true);
         let obj = Assembler::assemble(
             "top:\n\
              mov eax, [0x2000]\n\
@@ -2053,7 +2053,7 @@ mod proof_tokens {
         assert_eq!(
             (stats.hits, stats.misses),
             (5, 0),
-            "every instruction served from a block, none decoded uncached"
+            "every instruction served from a block, none byte-wise"
         );
     }
 }
@@ -2139,7 +2139,7 @@ mod protection_keys {
             pte::RW | pte::US | pte::key_flags(5),
         );
         m.mmu.set_cr3(cr3);
-        m.mmu.enabled = true;
+        m.mmu.set_enabled(true);
 
         // AD for key 5 is bit 10.
         let src = "mov eax, [0x2000]\n\
@@ -2273,7 +2273,7 @@ mod run_loop {
             map_page(&mut m.mem, &mut fa, cr3, page, page, pte::RW);
         }
         m.mmu.set_cr3(cr3);
-        m.mmu.enabled = true;
+        m.mmu.set_enabled(true);
         let obj = Assembler::assemble(src).expect("asm");
         let image = obj.link(0x1000, &BTreeMap::new()).expect("link");
         m.mem.write_bytes(0x1000, &image);
@@ -2525,7 +2525,7 @@ mod translation_tables {
             map_page(&mut m.mem, &mut fa, cr3, page, page, pte::RW);
         }
         m.mmu.set_cr3(cr3);
-        m.mmu.enabled = true;
+        m.mmu.set_enabled(true);
         let mut src = String::from("mov ecx, 40\ntop:\nmov eax, ecx\n");
         for (i, page) in data.iter().enumerate() {
             src.push_str(&format!(
@@ -2571,7 +2571,7 @@ mod translation_tables {
         map_page(&mut m.mem, &mut fa, cr3, A, 0x31000, pte::RW);
         map_page(&mut m.mem, &mut fa, cr3, B, 0x45000, pte::RW);
         m.mmu.set_cr3(cr3);
-        m.mmu.enabled = true;
+        m.mmu.set_enabled(true);
         let src = format!(
             "mov ecx, 30\n\
              top:\n\
@@ -2651,7 +2651,7 @@ mod translation_tables {
         map_page(&mut m.mem, &mut fa, cr3, A, A, pte::RW | pte::US);
         map_page(&mut m.mem, &mut fa, cr3b, A, 0x60000, pte::RW | pte::US);
         m.mmu.set_cr3(cr3);
-        m.mmu.enabled = true;
+        m.mmu.set_enabled(true);
         m.idt[0x30] = Some(IdtGate { dpl: 3 });
         let labels = load(
             &mut m,
@@ -2854,7 +2854,7 @@ mod lazy_blocks {
                 ));
             }
             m.mmu.set_cr3(cr3);
-            m.mmu.enabled = true;
+            m.mmu.set_enabled(true);
             m.idt[0x30] = Some(IdtGate { dpl: 3 });
             m.set_predecode(predecode);
             World {
@@ -3204,6 +3204,113 @@ mod lazy_blocks {
             w.enter(0, 0x6000);
             assert_eq!(w.run("flushed", 100), Exit::IntHook(0x30));
             assert_eq!(w.m.cpu.reg(Reg::Eax), 300);
+        });
+    }
+
+    #[test]
+    fn paging_toggled_between_runs_of_one_block() {
+        // Linear 0x6000 maps to frame 0x9000, which holds a loop adding
+        // 1; identity frame 0x6000 holds the same loop adding 100. Paging
+        // goes off and back on in the middle of the loop's block, with no
+        // segment load and no TLB flush in between.
+        differential("paging toggle", |w| {
+            let src = |k: u32| {
+                format!(
+                    "mov eax, 0\n\
+                     mov ecx, 30\n\
+                     top:\n\
+                     add eax, {k}\n\
+                     sub ecx, 1\n\
+                     cmp ecx, 0\n\
+                     jne top\n\
+                     int 0x30\n"
+                )
+            };
+            let cr3 = w.cr3;
+            assert!(map_page(
+                &mut w.m.mem,
+                &mut w.fa,
+                cr3,
+                0x6000,
+                0x9000,
+                pte::RW
+            ));
+            w.load(0x6000, &src(1));
+            w.m.mmu.set_enabled(false);
+            w.load(0x6000, &src(100));
+            w.m.mmu.set_enabled(true);
+            w.enter(0, 0x6000);
+            // Iterations 1-5 and the add of iteration 6 run paged.
+            assert_eq!(w.run("paged", 2 + 4 * 5 + 1), Exit::InsnLimit);
+            w.m.mmu.set_enabled(false);
+            // The rest of 6, then 7-10 and the add of 11 run unpaged.
+            assert_eq!(w.run("unpaged", 3 + 4 * 4 + 1), Exit::InsnLimit);
+            w.m.mmu.set_enabled(true);
+            assert_eq!(w.run("paged again", 1_000), Exit::IntHook(0x30));
+            assert_eq!(w.m.cpu.reg(Reg::Eax), 6 + 5 * 100 + 19);
+        });
+    }
+
+    #[test]
+    fn undecodable_first_instruction() {
+        // A loop falls through into a byte that does not decode: the
+        // builder stores a negative entry there, and both fetches of it
+        // (the first, and the retry after the fault) are served
+        // byte-wise.
+        differential("undecodable", |w| {
+            let labels = w.load(
+                0x1000,
+                "mov ecx, 3\n\
+                 top:\n\
+                 sub ecx, 1\n\
+                 cmp ecx, 0\n\
+                 jne top\n\
+                 bad:\n\
+                 nop\n",
+            );
+            assert!(w.m.host_write(labels["bad"], &[0xFE]));
+            w.enter(0, 0x1000);
+            for phase in ["first", "retry"] {
+                let exit = w.run(phase, 100);
+                assert!(
+                    matches!(exit, Exit::Fault(f)
+                        if f.vector == Vector::InvalidOpcode && f.eip == labels["bad"]),
+                    "{phase}: {exit:?}"
+                );
+            }
+            let want = if w.predecode { 2 } else { 0 };
+            assert_eq!(w.m.predecode_stats().misses, want);
+        });
+    }
+
+    #[test]
+    fn code_through_an_expand_down_cs() {
+        // No block serves a fetch through a force-loaded expand-down CS,
+        // not even one built at the same address under a flat CS: all 11
+        // fetches of the second run are served byte-wise.
+        differential("expand-down cs", |w| {
+            w.load(
+                0x1000,
+                "mov ecx, 3\n\
+                 top:\n\
+                 sub ecx, 1\n\
+                 cmp ecx, 0\n\
+                 jne top\n\
+                 int 0x30\n",
+            );
+            w.enter(0, 0x1000);
+            assert_eq!(w.run("flat", 100), Exit::IntHook(0x30));
+            w.enter(0, 0x1000);
+            let flat = *w.m.cpu.seg(SegReg::Cs);
+            let down = crate::machine::SegCache {
+                expand_down: true,
+                limit: 0xFFF,
+                ..flat
+            };
+            w.m.force_seg(SegReg::Cs, flat.selector, down);
+            assert_eq!(w.run("expand-down", 100), Exit::IntHook(0x30));
+            let want = if w.predecode { 11 } else { 0 };
+            assert_eq!(w.m.predecode_stats().misses, want);
         });
     }
 
