@@ -1483,10 +1483,10 @@ mod tests {
         assert_eq!(
             fingerprints,
             [
-                (681_384, 0x4BBE_14D7),
-                (682_993, 0xF877_7559),
-                (683_222, 0x2A3E_3D43),
-                (732_903, 0x58AE_DF4D),
+                (681_344, 0x3251_2C79),
+                (682_917, 0xC99B_3AA3),
+                (683_138, 0x2744_0DFE),
+                (732_807, 0x23B5_52E9),
             ]
         );
         for p in &pts {

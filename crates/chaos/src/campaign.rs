@@ -20,7 +20,7 @@
 //! probes (fork/exec, syscall rejection, timer abort) run on scratch
 //! kernels, and the durability probe checkpoints the episode's own
 //! kernel, asserts the image round-trips, asserts every corruption
-//! class is rejected, and feeds hostile-writer images (every CRC valid)
+//! class is rejected, and feeds hostile-writer images (a valid trailer)
 //! to the restore gate, which must return `Ok` or a typed error. Any
 //! violation — including a host panic, which the driver catches — fails
 //! the audit.

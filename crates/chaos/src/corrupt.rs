@@ -13,13 +13,13 @@
 //! each of the ways real storage fails — bit rot, truncation, torn
 //! writes, block transposition, stale format versions — so the oracle
 //! can assert every one is rejected with a typed error.
-//! [`hostile_writer_image`] goes for the restore gate itself: valid
-//! CRCs around an absurd value, the bytes a buggy or malicious writer
+//! [`hostile_writer_image`] goes for the restore gate itself: an absurd
+//! value under a valid trailer, the bytes a buggy or malicious writer
 //! would produce.
 
 use asm86::{CodeBuilder, Object, Reloc, RelocKind};
 use seedrng::SeedRng;
-use x86sim::image::{Enc, ImageBuilder, ImageView};
+use x86sim::image::{ImageBuilder, ImageView};
 
 use crate::gen;
 
@@ -247,8 +247,8 @@ pub fn corrupted_image(image: &[u8], r: &mut SeedRng) -> (ImageCorruption, Vec<u
 
 /// Re-emits `image` (of image kind `kind`) through a fresh
 /// [`ImageBuilder`] with the u32 at byte `at` of section `id` replaced by
-/// `value`: a hostile writer whose every CRC is valid, so only the
-/// payload decoders stand between the value and the restored world.
+/// `value`: a hostile writer with a valid trailer, so only the payload
+/// decoders stand between the value and the restored world.
 ///
 /// # Panics
 ///
@@ -260,13 +260,15 @@ pub fn with_hostile_word(image: &[u8], kind: u32, id: u32, at: usize, value: u32
     assert!(v.section(id).is_some(), "section {id:#x} absent");
     let mut b = ImageBuilder::new(kind);
     for &(sid, payload) in v.sections() {
-        let mut p = payload.to_vec();
-        if sid == id {
-            p[at..at + 4].copy_from_slice(&value.to_le_bytes());
-        }
-        let mut e = Enc::new();
-        e.bytes(&p);
-        b.section(sid, e);
+        b.section(sid, |e| {
+            if sid == id {
+                e.bytes(&payload[..at]);
+                e.u32(value);
+                e.bytes(&payload[at + 4..]);
+            } else {
+                e.bytes(payload);
+            }
+        });
     }
     b.finish()
 }
@@ -279,7 +281,7 @@ pub fn with_hostile_word(image: &[u8], kind: u32, id: u32, at: usize, value: u32
 /// the section after the word. Returns the section id, the offset, the
 /// value and the image.
 ///
-/// Deliberately not an [`ImageCorruption`] class: every CRC is valid
+/// Deliberately not an [`ImageCorruption`] class: the trailer is valid
 /// and the value may be legal where it lands (a counter, a register), so
 /// such an image may restore. The contract is weaker than
 /// [`ImageCorruption::ALL`]'s rejection: restore returns `Ok` or a typed

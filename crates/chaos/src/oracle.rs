@@ -28,8 +28,8 @@
 //! never silently restored, never a host panic
 //! ([`probe_checkpoint_rejection`] drives every corruption class from
 //! [`crate::corrupt`] against a valid image), and an image from a
-//! hostile writer, every CRC valid, restores or fails with a typed
-//! error ([`probe_hostile_restore`]).
+//! hostile writer, under a valid trailer, restores or fails with a
+//! typed error ([`probe_hostile_restore`]).
 
 use std::collections::BTreeMap;
 

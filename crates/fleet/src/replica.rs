@@ -10,7 +10,7 @@ use palladium::user_ext::ExtensibleApp;
 use seedrng::SeedRng;
 use webserver::http;
 use webserver::workload::jittered_get;
-use x86sim::image::{base, kind, Enc, ImageBuilder, ImageView, RestoreError};
+use x86sim::image::{base, kind, ImageBuilder, ImageView, RestoreError};
 
 /// Kernel canary word planted outside every extension segment; the
 /// oracle checks it after every round.
@@ -259,39 +259,31 @@ impl Replica {
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut b = ImageBuilder::new(kind::REPLICA);
         self.k.save_sections(&mut b);
-        let mut sec = Enc::new();
-        self.app.save_into(&mut sec);
-        b.section(base::APP + 1, sec);
-        let mut sec = Enc::new();
-        self.kx.save_into(&mut sec);
-        b.section(base::REPLICA + 1, sec);
-        let mut sec = Enc::new();
-        self.sup.save_into(&mut sec);
-        b.section(base::REPLICA + 2, sec);
-        let mut sec = Enc::new();
-        self.oracle.save_into(&mut sec);
-        b.section(base::REPLICA + 3, sec);
-        let mut sec = Enc::new();
-        sec.u32(self.ext.index() as u32);
-        sec.u64(self.stats.served);
-        sec.u64(self.stats.degraded);
-        sec.u64(self.stats.dropped);
-        sec.u64(self.stats.resp_bytes);
-        sec.u32(self.last_round.served);
-        sec.u32(self.last_round.degraded);
-        sec.u32(self.last_round.dropped);
-        sec.u32(self.violations.len() as u32);
-        for v in &self.violations {
-            sec.str(v);
-        }
-        sec.u32(self.leak_failures.len() as u32);
-        for v in &self.leak_failures {
-            sec.str(v);
-        }
-        sec.u64(self.rng.state());
-        sec.u32(self.rounds_served);
-        sec.bool(self.failed_closed);
-        b.section(base::REPLICA + 4, sec);
+        b.section(base::APP + 1, |e| self.app.save_into(e));
+        b.section(base::REPLICA + 1, |e| self.kx.save_into(e));
+        b.section(base::REPLICA + 2, |e| self.sup.save_into(e));
+        b.section(base::REPLICA + 3, |e| self.oracle.save_into(e));
+        b.section(base::REPLICA + 4, |e| {
+            e.u32(self.ext.index() as u32);
+            e.u64(self.stats.served);
+            e.u64(self.stats.degraded);
+            e.u64(self.stats.dropped);
+            e.u64(self.stats.resp_bytes);
+            e.u32(self.last_round.served);
+            e.u32(self.last_round.degraded);
+            e.u32(self.last_round.dropped);
+            e.u32(self.violations.len() as u32);
+            for v in &self.violations {
+                e.str(v);
+            }
+            e.u32(self.leak_failures.len() as u32);
+            for v in &self.leak_failures {
+                e.str(v);
+            }
+            e.u64(self.rng.state());
+            e.u32(self.rounds_served);
+            e.bool(self.failed_closed);
+        });
         b.finish()
     }
 

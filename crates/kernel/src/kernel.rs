@@ -1404,99 +1404,87 @@ impl Kernel {
     pub fn save_sections(&self, b: &mut ImageBuilder) {
         self.m.save_sections(b);
 
-        let mut e = Enc::new();
-        self.frames.save_into(&mut e);
-        b.section(base::KERNEL + 1, e);
-
-        let mut e = Enc::new();
-        let c = &self.costs;
-        for v in [
-            c.syscall_dispatch,
-            c.pagefault_handler,
-            c.signal_deliver,
-            c.kext_abort,
-            c.fork,
-            c.exec,
-            c.exit_wait,
-            c.context_switch,
-            c.ppl_mark_per_page,
-            c.ppl_mark_startup,
-            c.mmap_per_page,
-            c.mmap_base,
-            c.set_call_gate,
-        ] {
-            e.u64(v);
-        }
-        b.section(base::KERNEL + 2, e);
-
-        let mut e = Enc::new();
-        for s in [
-            self.sel.kcode,
-            self.sel.kdata,
-            self.sel.ucode,
-            self.sel.udata,
-            self.sel.ucode2,
-            self.sel.udata2,
-        ] {
-            e.u16(s.0);
-        }
-        b.section(base::KERNEL + 3, e);
-
-        let mut e = Enc::new();
-        e.blob(&self.console);
-        b.section(base::KERNEL + 4, e);
-
-        let mut e = Enc::new();
-        for v in [
-            self.stats.syscalls,
-            self.stats.syscalls_rejected,
-            self.stats.faults,
-            self.stats.signals_delivered,
-            self.stats.kills,
-            self.stats.forks,
-            self.stats.context_switches,
-        ] {
-            e.u64(v);
-        }
-        b.section(base::KERNEL + 5, e);
-
-        let mut e = Enc::new();
-        e.u64(self.extension_cycle_limit);
-        e.bool(self.last_fault.is_some());
-        if let Some(f) = &self.last_fault {
-            image::put_fault(&mut e, f);
-        }
-        b.section(base::KERNEL + 6, e);
-
-        let mut e = Enc::new();
-        e.u32(self.tasks.len() as u32);
-        for task in self.tasks.values() {
-            put_task(&mut e, task);
-        }
-        b.section(base::KERNEL + 7, e);
-
-        let mut e = Enc::new();
-        e.bool(self.current.is_some());
-        if let Some(tid) = self.current {
-            e.u32(tid);
-        }
-        e.u32(self.next_tid);
-        b.section(base::KERNEL + 8, e);
-
-        let mut e = Enc::new();
-        e.u32(self.kernel_pdes.len() as u32);
-        for (idx, val) in self.kernel_pdes.iter() {
-            e.u32(*idx);
-            e.u32(*val);
-        }
-        e.u32(self.kernel_cr3);
-        e.u32(self.kva_next);
-        e.u32(self.kva_free.len() as u32);
-        for (base, pages) in &self.kva_free {
-            e.u32(*base);
-            e.u32(*pages);
-        }
-        b.section(base::KERNEL + 9, e);
+        b.section(base::KERNEL + 1, |e| self.frames.save_into(e));
+        b.section(base::KERNEL + 2, |e| {
+            let c = &self.costs;
+            for v in [
+                c.syscall_dispatch,
+                c.pagefault_handler,
+                c.signal_deliver,
+                c.kext_abort,
+                c.fork,
+                c.exec,
+                c.exit_wait,
+                c.context_switch,
+                c.ppl_mark_per_page,
+                c.ppl_mark_startup,
+                c.mmap_per_page,
+                c.mmap_base,
+                c.set_call_gate,
+            ] {
+                e.u64(v);
+            }
+        });
+        b.section(base::KERNEL + 3, |e| {
+            for s in [
+                self.sel.kcode,
+                self.sel.kdata,
+                self.sel.ucode,
+                self.sel.udata,
+                self.sel.ucode2,
+                self.sel.udata2,
+            ] {
+                e.u16(s.0);
+            }
+        });
+        b.section(base::KERNEL + 4, |e| e.blob(&self.console));
+        b.section(base::KERNEL + 5, |e| {
+            for v in [
+                self.stats.syscalls,
+                self.stats.syscalls_rejected,
+                self.stats.faults,
+                self.stats.signals_delivered,
+                self.stats.kills,
+                self.stats.forks,
+                self.stats.context_switches,
+            ] {
+                e.u64(v);
+            }
+        });
+        b.section(base::KERNEL + 6, |e| {
+            e.u64(self.extension_cycle_limit);
+            e.bool(self.last_fault.is_some());
+            if let Some(f) = &self.last_fault {
+                image::put_fault(e, f);
+            }
+        });
+        b.section(base::KERNEL + 7, |e| {
+            e.u32(self.tasks.len() as u32);
+            for task in self.tasks.values() {
+                put_task(e, task);
+            }
+        });
+        b.section(base::KERNEL + 8, |e| {
+            e.bool(self.current.is_some());
+            if let Some(tid) = self.current {
+                e.u32(tid);
+            }
+            e.u32(self.next_tid);
+        });
+        b.section(base::KERNEL + 9, |e| {
+            e.u32(self.kernel_pdes.len() as u32);
+            for (idx, val) in self.kernel_pdes.iter() {
+                e.u32(*idx);
+                e.u32(*val);
+            }
+            e.u32(self.kernel_cr3);
+            e.u32(self.kva_next);
+            e.u32(self.kva_free.len() as u32);
+            for (base, pages) in &self.kva_free {
+                e.u32(*base);
+                e.u32(*pages);
+            }
+        });
     }
 
     /// Restores a kernel world from [`save_image`](Self::save_image)

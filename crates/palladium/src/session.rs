@@ -31,7 +31,7 @@
 use asm86::Object;
 use minikernel::Kernel;
 use verifier::Attestation;
-use x86sim::image::{base, kind, Enc, ImageBuilder, ImageView, RestoreError};
+use x86sim::image::{base, kind, ImageBuilder, ImageView, RestoreError};
 
 use crate::backend::BackendKind;
 use crate::error::Error;
@@ -193,21 +193,17 @@ impl Session {
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut b = ImageBuilder::new(kind::SESSION);
         self.k.save_sections(&mut b);
-        let mut sec = Enc::new();
-        self.app.save_into(&mut sec);
-        b.section(base::APP + 1, sec);
-        let mut sec = Enc::new();
-        sec.u8(self.backend.code());
-        b.section(base::SESSION + 1, sec);
+        b.section(base::APP + 1, |e| self.app.save_into(e));
+        b.section(base::SESSION + 1, |e| e.u8(self.backend.code()));
         b.finish()
     }
 
     /// Rebuilds a session from [`checkpoint`](Self::checkpoint) bytes.
     ///
     /// Every structural and integrity violation — bad magic, version or
-    /// kind mismatch, truncation, a failed section or image CRC —
-    /// surfaces as a typed [`RestoreError`]; a tampered image is never
-    /// silently restored.
+    /// kind mismatch, truncation, a failed image CRC — surfaces as a
+    /// typed [`RestoreError`]; a tampered image is never silently
+    /// restored.
     pub fn restore(bytes: &[u8]) -> Result<Session, RestoreError> {
         let view = ImageView::parse(bytes, kind::SESSION)?;
         let mut k = Kernel::restore_sections(&view)?;

@@ -523,8 +523,10 @@ impl ExtensibleApp {
             // register denies that key from now on. Every ProtKeys
             // Transfer re-asserts the denial on entry, so extension-mode
             // accesses to the region fault on the key check instead of
-            // the U/S check. Ring-2 application code is unaffected —
-            // supervisor accesses ignore keys, exactly as on MPK.
+            // the U/S check. Ring-2 application code is unaffected
+            // because the model skips keys for CPL 0–2. That is
+            // POE-style, not MPK: with CR4.PKE, Intel applies PKRU to
+            // supervisor data accesses to user pages (DESIGN §13).
             let tramp_base = self.tramp_end - 2 * PAGE_SIZE;
             k.host_set_page_flags(
                 self.tid,

@@ -7,8 +7,8 @@
 //! for detection, not compactness:
 //!
 //! ```text
-//! magic[4] version:u32(=VERSION) kind:u32 nsec:u32
-//!   ( id:u32 len:u32 payload[len] crc32(payload) )*   // ids strictly ascending
+//! magic[4] version:u32(=VERSION) kind:u32
+//!   ( id:u32 len:u32 payload[len] )*   // ids strictly ascending
 //! crc32(everything above)
 //! ```
 //!
@@ -21,12 +21,11 @@
 //!
 //! * the **magic/version/kind** header rejects foreign bytes and version
 //!   skew with typed errors before anything is interpreted;
-//! * a trailing **whole-image CRC32** covers every preceding byte and is
-//!   verified *before* the section count or any length is trusted —
-//!   torn writes and header tampering fail even when each section
-//!   happens to look self-consistent;
-//! * every section carries a **CRC32 over its payload** — a bit flip
-//!   anywhere in a payload is caught section-locally;
+//! * one trailing **whole-image CRC32** covers every preceding byte and
+//!   is verified *before* any section id or length is read — bit flips,
+//!   torn writes and header tampering all fail here;
+//! * there is no section count: the section table runs up to the
+//!   trailer, so the table ends where the CRC says the image ends;
 //! * section ids must be **strictly ascending** — transposed or replayed
 //!   sections are a structural error, not a silent reorder;
 //! * all lengths are bounds-checked while walking, so truncation is a
@@ -35,9 +34,9 @@
 //! Decoding of section payloads goes through [`Dec`], which bounds-checks
 //! every read, bounds every decoded element count by the bytes left
 //! ([`Dec::count`]) and rejects trailing bytes, so a malformed payload
-//! that passed its CRC (i.e. a buggy or malicious *writer*) still yields
-//! a typed [`RestoreError`], never a partially-initialized world or an
-//! unbounded allocation.
+//! under a valid trailer (i.e. a buggy or malicious *writer*) still
+//! yields a typed [`RestoreError`], never a partially-initialized world
+//! or an unbounded allocation.
 //!
 //! What is deliberately **not** in an image: block tokens, page
 //! translation memos, execution traces, and per-frame code
@@ -47,7 +46,7 @@
 //! differential tests assert a restored world is cycle/stat/fault
 //! byte-identical going forward.
 
-use core::fmt;
+use core::{fmt, mem};
 
 use crate::desc::{CallGate, CodeSeg, DataSeg, Descriptor, DescriptorTable, Selector};
 use crate::fault::{Fault, FaultCause, Vector};
@@ -58,14 +57,14 @@ pub const MAGIC: [u8; 4] = *b"PDIM";
 
 /// Current format version. Bumped on any incompatible layout change; a
 /// mismatch is a typed [`RestoreError::Version`], never a guess.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
-/// Header bytes: magic, version, kind, section count.
-const HEADER_LEN: usize = 16;
+/// Header bytes: magic, version, kind.
+const HEADER_LEN: usize = 12;
 
 /// Image kinds: which layer's state an image carries. Restoring an image
 /// of the wrong kind is rejected ([`RestoreError::Kind`]) — a kernel
-/// image is not a machine image even when every CRC passes.
+/// image is not a machine image even when its trailer is valid.
 pub mod kind {
     /// A bare [`crate::Machine`] world.
     pub const MACHINE: u32 = 1;
@@ -97,7 +96,7 @@ pub mod base {
 /// bit flips, truncation, torn writes and transposed blocks past the
 /// header to `ImageCrc` (or `Truncated`), version skew to `Version`, and
 /// writers that stamp a valid trailer over bad content to
-/// `SectionCrc`/`SectionOrder`/`Truncated`/`Malformed`/`MissingSection`/
+/// `SectionOrder`/`Truncated`/`Malformed`/`MissingSection`/
 /// `TrailingBytes`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
@@ -128,13 +127,8 @@ pub enum RestoreError {
         /// The offending section id.
         id: u32,
     },
-    /// A section payload fails its CRC32.
-    SectionCrc {
-        /// The offending section id.
-        id: u32,
-    },
-    /// The whole-image trailer CRC32 fails (torn write or header
-    /// tampering).
+    /// The whole-image trailer CRC32 fails (a bit flip, a torn write or
+    /// header tampering).
     ImageCrc,
     /// Bytes remain after the structure ended.
     TrailingBytes {
@@ -169,7 +163,6 @@ impl fmt::Display for RestoreError {
             RestoreError::SectionOrder { id } => {
                 write!(f, "section {id} out of order (transposed or duplicated)")
             }
-            RestoreError::SectionCrc { id } => write!(f, "section {id} failed its CRC32"),
             RestoreError::ImageCrc => write!(f, "whole-image CRC32 mismatch (torn write?)"),
             RestoreError::TrailingBytes { section } => {
                 write!(f, "trailing bytes after {section}")
@@ -428,13 +421,12 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Builds an image: header, CRC-stamped sections in ascending-id order,
-/// trailing whole-image CRC. Sections are written straight into the
-/// output buffer; layers share one builder (see [`base`]).
+/// Builds an image: header, sections in ascending-id order, trailing
+/// whole-image CRC. Sections are written straight into the output
+/// buffer; layers share one builder (see [`base`]).
 #[derive(Debug)]
 pub struct ImageBuilder {
     out: Vec<u8>,
-    nsec: u32,
     last_id: Option<u32>,
 }
 
@@ -445,39 +437,37 @@ impl ImageBuilder {
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&kind.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // nsec, patched by finish()
-        ImageBuilder {
-            out,
-            nsec: 0,
-            last_id: None,
-        }
+        ImageBuilder { out, last_id: None }
     }
 
-    /// Appends a section. Ids must be strictly ascending.
+    /// Appends a section whose payload `write` encodes straight into the
+    /// image; its length is patched in afterwards. Ids must be strictly
+    /// ascending.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not greater than the previous section's id —
     /// the writer controls section order and must emit it sorted.
-    pub fn section(&mut self, id: u32, payload: Enc) {
+    pub fn section(&mut self, id: u32, write: impl FnOnce(&mut Enc)) {
         assert!(
             self.last_id.is_none_or(|last| id > last),
             "section ids must be strictly ascending (got {id})"
         );
         self.last_id = Some(id);
-        let payload = payload.into_vec();
-        self.out.reserve(12 + payload.len());
         self.out.extend_from_slice(&id.to_le_bytes());
-        self.out
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.out.extend_from_slice(&payload);
-        self.out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.nsec += 1;
+        self.out.extend_from_slice(&0u32.to_le_bytes()); // len, patched below
+        let start = self.out.len();
+        let mut e = Enc {
+            buf: mem::take(&mut self.out),
+        };
+        write(&mut e);
+        self.out = e.buf;
+        let len = (self.out.len() - start) as u32;
+        self.out[start - 4..start].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Finalizes the image, stamping the trailing whole-image CRC.
     pub fn finish(mut self) -> Vec<u8> {
-        self.out[12..HEADER_LEN].copy_from_slice(&self.nsec.to_le_bytes());
         let crc = crc32(&self.out);
         self.out.extend_from_slice(&crc.to_le_bytes());
         // Images outlive the save (checkpoint lineages): drop the slack
@@ -489,8 +479,8 @@ impl ImageBuilder {
 
 /// A parsed, integrity-verified view of an image. Construction *is* the
 /// verification: magic, version, kind, the whole-image CRC, structural
-/// bounds, section order and every section CRC are all checked before
-/// any payload byte is handed out.
+/// bounds and section order are all checked before any payload byte is
+/// handed out.
 #[derive(Debug)]
 pub struct ImageView<'a> {
     sections: Vec<(u32, &'a [u8])>,
@@ -523,8 +513,9 @@ impl<'a> ImageView<'a> {
             });
         }
 
-        // The trailer covers every preceding byte (torn writes, header
-        // tampering); check it before trusting the count or any length.
+        // The trailer covers every preceding byte (bit flips, torn
+        // writes, header tampering); check it before reading any id or
+        // length.
         if bytes.len() < HEADER_LEN + 4 {
             return Err(RestoreError::Truncated { section: "trailer" });
         }
@@ -533,26 +524,19 @@ impl<'a> ImageView<'a> {
             return Err(RestoreError::ImageCrc);
         }
 
-        // Each table entry is at least an id, a length and a CRC.
-        let mut d = Dec::new(&body[12..], "section table");
-        let nsec = d.count(12)?;
-        let mut sections = Vec::with_capacity(nsec);
+        // The section table runs up to the trailer.
+        let mut d = Dec::new(&body[HEADER_LEN..], "section table");
+        let mut sections = Vec::new();
         let mut last_id: Option<u32> = None;
-        for _ in 0..nsec {
+        while d.remaining() > 0 {
             let id = d.u32()?;
             if last_id.is_some_and(|last| id <= last) {
                 return Err(RestoreError::SectionOrder { id });
             }
             last_id = Some(id);
             let len = d.u32()? as usize;
-            let payload = d.bytes(len)?;
-            let stored = d.u32()?;
-            if crc32(payload) != stored {
-                return Err(RestoreError::SectionCrc { id });
-            }
-            sections.push((id, payload));
+            sections.push((id, d.bytes(len)?));
         }
-        d.finish()?;
         Ok(ImageView { sections })
     }
 
@@ -659,11 +643,21 @@ pub fn put_descriptor_table(e: &mut Enc, t: &DescriptorTable) {
     }
 }
 
+/// Entries a descriptor table can hold: a selector's index has 13 bits.
+const MAX_DESCRIPTORS: usize = 1 << 13;
+
 /// Decodes a [`DescriptorTable`] written by [`put_descriptor_table`].
+/// A table longer than a selector can index is [`RestoreError::Malformed`]:
+/// its `u16` indices would wrap, and the world could not save it again.
 pub fn get_descriptor_table(d: &mut Dec<'_>) -> Result<DescriptorTable, RestoreError> {
     let len = d.u32()? as usize;
     if len == 0 {
         return Err(d.fail("descriptor table without a null slot"));
+    }
+    if len > MAX_DESCRIPTORS {
+        return Err(d.fail(format!(
+            "descriptor table of {len} entries (at most {MAX_DESCRIPTORS})"
+        )));
     }
     let mut t = DescriptorTable::new();
     for _ in 1..len {
@@ -881,8 +875,8 @@ mod tests {
         // The trailer the bytewise CRC gave the sample image: a change to
         // the CRC's output (or to the image layout) fails here.
         let img = sample_image();
-        assert_eq!(img.len(), 65);
-        assert_eq!(img[61..], 0x482F_64CAu32.to_le_bytes());
+        assert_eq!(img.len(), 53);
+        assert_eq!(img[49..], 0xC0EA_096Fu32.to_le_bytes());
     }
 
     #[test]
@@ -902,13 +896,11 @@ mod tests {
 
     fn sample_image() -> Vec<u8> {
         let mut b = ImageBuilder::new(kind::MACHINE);
-        let mut e = Enc::new();
-        e.u32(0xDEAD_BEEF);
-        e.str("hello");
-        b.section(1, e);
-        let mut e = Enc::new();
-        e.u64(42);
-        b.section(7, e);
+        b.section(1, |e| {
+            e.u32(0xDEAD_BEEF);
+            e.str("hello");
+        });
+        b.section(7, |e| e.u64(42));
         b.finish()
     }
 
@@ -927,6 +919,20 @@ mod tests {
             v.require(2, "two"),
             Err(RestoreError::MissingSection { section: "two" })
         ));
+
+        // An empty section between two others: each length is patched
+        // in place, and the empty one is present, not missing.
+        let mut b = ImageBuilder::new(kind::MACHINE);
+        b.section(1, |e| e.str("before"));
+        b.section(2, |_| {});
+        b.section(3, |e| e.u16(0xBEEF));
+        let img = b.finish();
+        let v = ImageView::parse(&img, kind::MACHINE).unwrap();
+        let lens: Vec<(u32, usize)> = v.sections().iter().map(|(id, p)| (*id, p.len())).collect();
+        assert_eq!(lens, [(1, 10), (2, 0), (3, 2)]);
+        assert_eq!(v.require(1, "one").unwrap().str().unwrap(), "before");
+        v.require(2, "two").unwrap().finish().unwrap();
+        assert_eq!(v.require(3, "three").unwrap().u16().unwrap(), 0xBEEF);
     }
 
     #[test]
@@ -950,17 +956,13 @@ mod tests {
         // flips cover every chunk lane, then seeded positions anywhere
         // past the magic, version and kind (which are typed apart).
         let mut b = ImageBuilder::new(kind::MACHINE);
-        let mut e = Enc::new();
-        e.u32(7);
-        b.section(1, e);
-        let mut e = Enc::new();
-        e.bytes(&seeded_bytes(4, 4096 + 5));
-        b.section(2, e);
+        b.section(1, |e| e.u32(7));
+        b.section(2, |e| e.bytes(&seeded_bytes(4, 4096 + 5)));
         let img = b.finish();
         ImageView::parse(&img, kind::MACHINE).unwrap();
 
-        // Header 16, section 1 (12 + 4), section 2's id and length.
-        let payload = HEADER_LEN + 16 + 8;
+        // Header 12, section 1 (8 + 4), section 2's id and length.
+        let payload = HEADER_LEN + 12 + 8;
         let mut bits: Vec<usize> = (8 * (payload + 1000)..8 * (payload + 1064)).collect();
         let mut r = SeedRng::new(4);
         bits.extend((0..256).map(|_| r.gen_range(8 * 12, 8 * img.len() as u32) as usize));
@@ -1034,12 +1036,10 @@ mod tests {
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&kind::MACHINE.to_le_bytes());
-        out.extend_from_slice(&2u32.to_le_bytes());
         for (id, payload) in [(7u32, &s7), (1u32, &s1)] {
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             out.extend_from_slice(payload);
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
         }
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -1050,15 +1050,17 @@ mod tests {
     }
 
     #[test]
-    fn image_crc_is_checked_before_the_section_count() {
+    fn image_crc_is_checked_before_any_section_length() {
         let img = sample_image();
         let mut hostile = img.clone();
-        hostile[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Section 1's length, after the header and its id.
+        let len_at = HEADER_LEN + 4;
+        hostile[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             ImageView::parse(&hostile, kind::MACHINE).unwrap_err(),
             RestoreError::ImageCrc
         );
-        // With the trailer recomputed the count is reached, and bounded.
+        // With the trailer recomputed the length is reached, and bounded.
         let n = hostile.len();
         let crc = crc32(&hostile[..n - 4]);
         hostile[n - 4..].copy_from_slice(&crc.to_le_bytes());
@@ -1148,6 +1150,28 @@ mod tests {
         for i in 0..t.len() as u16 {
             assert_eq!(back.get(i), t.get(i));
         }
+    }
+
+    #[test]
+    fn descriptor_tables_longer_than_a_selector_can_index_are_malformed() {
+        let mut e = Enc::new();
+        e.u32(MAX_DESCRIPTORS as u32 + 1);
+        for _ in 1..=MAX_DESCRIPTORS {
+            put_descriptor(&mut e, &Descriptor::Null);
+        }
+        let payload = e.into_vec();
+        assert!(matches!(
+            get_descriptor_table(&mut Dec::new(&payload, "gdt")),
+            Err(RestoreError::Malformed { section: "gdt", .. })
+        ));
+        // The largest table a selector can index still decodes.
+        let mut e = Enc::new();
+        e.u32(MAX_DESCRIPTORS as u32);
+        e.bytes(&payload[4..payload.len() - 1]);
+        let payload = e.into_vec();
+        let mut d = Dec::new(&payload, "gdt");
+        assert_eq!(get_descriptor_table(&mut d).unwrap().len(), MAX_DESCRIPTORS);
+        d.finish().unwrap();
     }
 
     #[test]

@@ -15,7 +15,7 @@ use asm86::{decode, DecodeError};
 use crate::cycles::{self, Event};
 use crate::desc::{resolve, Descriptor, DescriptorTable, Selector};
 use crate::fault::{Fault, FaultBuilder, FaultCause};
-use crate::image::{self, base, kind, Enc, ImageBuilder, ImageView, RestoreError};
+use crate::image::{self, base, kind, ImageBuilder, ImageView, RestoreError};
 use crate::mem::{PhysMem, PAGE_MASK, PAGE_SIZE};
 use crate::paging::{Access, Mmu};
 use crate::proof::{
@@ -592,64 +592,48 @@ impl Machine {
     /// count as TLB hits). Saving the same world twice yields the same
     /// bytes.
     pub fn save_sections(&self, b: &mut ImageBuilder) {
-        let mut e = Enc::new();
-        image::put_cpu(&mut e, &self.cpu);
-        b.section(base::MACHINE + 1, e);
-
-        let mut e = Enc::new();
-        image::put_descriptor_table(&mut e, &self.gdt);
-        b.section(base::MACHINE + 2, e);
-
-        let mut e = Enc::new();
-        match &self.ldt {
+        b.section(base::MACHINE + 1, |e| image::put_cpu(e, &self.cpu));
+        b.section(base::MACHINE + 2, |e| {
+            image::put_descriptor_table(e, &self.gdt);
+        });
+        b.section(base::MACHINE + 3, |e| match &self.ldt {
             Some(t) => {
                 e.bool(true);
-                image::put_descriptor_table(&mut e, t);
+                image::put_descriptor_table(e, t);
             }
             None => e.bool(false),
-        }
-        b.section(base::MACHINE + 3, e);
-
-        let mut e = Enc::new();
-        e.u32(self.idt.len() as u32);
-        for gate in &self.idt {
-            match gate {
-                Some(g) => {
-                    e.bool(true);
-                    e.u8(g.dpl);
+        });
+        b.section(base::MACHINE + 4, |e| {
+            e.u32(self.idt.len() as u32);
+            for gate in &self.idt {
+                match gate {
+                    Some(g) => {
+                        e.bool(true);
+                        e.u8(g.dpl);
+                    }
+                    None => e.bool(false),
                 }
-                None => e.bool(false),
             }
-        }
-        b.section(base::MACHINE + 4, e);
-
-        let mut e = Enc::new();
-        for (sel, esp) in self.tss.stack {
-            e.u16(sel.0);
-            e.u32(esp);
-        }
-        b.section(base::MACHINE + 5, e);
-
-        let mut e = Enc::new();
-        self.mmu.save_into(&mut e);
-        b.section(base::MACHINE + 6, e);
-
-        let mut e = Enc::new();
-        e.u64(self.cycles);
-        e.u64(self.insns);
-        e.bool(self.predecode);
-        b.section(base::MACHINE + 7, e);
-
-        let mut e = Enc::new();
-        self.mem.save_into(&mut e);
-        b.section(base::MACHINE + 8, e);
-
-        let mut e = Enc::new();
-        e.u32(self.key_gates.len() as u32);
-        for &site in &self.key_gates {
-            e.u32(site);
-        }
-        b.section(base::MACHINE + 9, e);
+        });
+        b.section(base::MACHINE + 5, |e| {
+            for (sel, esp) in self.tss.stack {
+                e.u16(sel.0);
+                e.u32(esp);
+            }
+        });
+        b.section(base::MACHINE + 6, |e| self.mmu.save_into(e));
+        b.section(base::MACHINE + 7, |e| {
+            e.u64(self.cycles);
+            e.u64(self.insns);
+            e.bool(self.predecode);
+        });
+        b.section(base::MACHINE + 8, |e| self.mem.save_into(e));
+        b.section(base::MACHINE + 9, |e| {
+            e.u32(self.key_gates.len() as u32);
+            for &site in &self.key_gates {
+                e.u32(site);
+            }
+        });
     }
 
     /// Rebuilds a world from an image written by [`Machine::save_image`].

@@ -423,8 +423,11 @@ impl Mmu {
         if is_write && !entry.writable {
             return Err(Fault::pf(linear, code));
         }
-        // Key rights, checked after the classic bits as on real MPK
-        // (keys restrict user pages only; the error code gains bit 5).
+        // Key rights, checked after the classic bits (keys restrict
+        // user pages only; the error code gains bit 5). Only CPL 3
+        // reaches here: the model skips keys for CPL 0–2, POE-style.
+        // Intel with CR4.PKE also applies PKRU to supervisor data
+        // accesses to user pages (DESIGN §13).
         if pkru != 0
             && (pkru::access_disabled(pkru, entry.key)
                 || (is_write && pkru::write_disabled(pkru, entry.key)))

@@ -120,7 +120,8 @@ fn scratch_world_probes_run_under_fork_boot() {
 }
 
 /// The restore-gate probe on a live kernel image: hostile-writer images,
-/// every CRC valid, restore or fail with a typed error, never a panic.
+/// under a valid trailer, restore or fail with a typed error, never a
+/// panic.
 #[test]
 fn hostile_restore_probe_passes_on_a_live_kernel_image() {
     let mut k = Kernel::boot();

@@ -21,7 +21,7 @@ use palladium::kernel_ext::{ExtSegmentId, KernelExtensions};
 use palladium::supervisor::RestartPolicy;
 use palladium::{DlopenOptions, Session};
 use seedrng::SeedRng;
-use x86sim::image::{base, kind, Dec, Enc, ImageView, RestoreError};
+use x86sim::image::{base, kind, Dec, Enc, ImageBuilder, ImageView, RestoreError};
 use x86sim::machine::Machine;
 
 // --- figure7 workload: kernel + kernel extensions ------------------------
@@ -335,7 +335,7 @@ fn replica_image_carries_the_machine_sections_verbatim() {
 }
 
 /// Counts decoded from an image bound every allocation they size: a
-/// valid-CRC image claiming `u32::MAX` elements is a typed error, never
+/// image with a valid trailer claiming `u32::MAX` elements is a typed error, never
 /// an abort (this suite also runs under `ulimit -v` in CI).
 #[test]
 fn hostile_writer_counts_are_typed_errors() {
@@ -378,9 +378,42 @@ fn hostile_writer_counts_are_typed_errors() {
     );
 }
 
+/// A descriptor table longer than a 13-bit selector index can reach
+/// fits its section's bytes, but its `u16` indices wrap and the restored
+/// world could not save it again. Restore refuses it for both the GDT
+/// and the LDT, so a lineage cannot be poisoned that way.
+#[test]
+fn oversized_descriptor_tables_are_malformed() {
+    let img = warm_replica().k.m.save_image();
+    let v = ImageView::parse(&img, kind::MACHINE).unwrap();
+    for (table, id, present) in [
+        ("gdt", base::MACHINE + 2, &[][..]),
+        ("ldt", base::MACHINE + 3, &[1]),
+    ] {
+        let mut b = ImageBuilder::new(kind::MACHINE);
+        for &(sid, payload) in v.sections() {
+            b.section(sid, |e| {
+                if sid == id {
+                    // 70,000 entries: the null slot, then 69,999 null
+                    // descriptors of one tag byte each.
+                    e.bytes(present);
+                    e.u32(70_000);
+                    e.bytes(&[0; 69_999]);
+                } else {
+                    e.bytes(payload);
+                }
+            });
+        }
+        match Machine::restore_image(&b.finish()) {
+            Err(RestoreError::Malformed { section, .. }) => assert_eq!(section, table),
+            other => panic!("{table}: {:?}", other.map(drop)),
+        }
+    }
+}
+
 /// Seeded hostile writers at every layer: a `u32::MAX`, 0, sign-bit or
 /// one-past-the-end length at a random aligned payload offset of a
-/// random section, every CRC valid. Such an image may legitimately
+/// random section, under a valid trailer. Such an image may legitimately
 /// restore, but restore must return `Ok` or a typed error — never panic
 /// or abort.
 #[test]
@@ -414,7 +447,7 @@ fn hostile_writer_images_restore_or_fail_typed_at_every_layer() {
             let (id, at, value, bad) = chaos::corrupt::hostile_writer_image(img, k, &mut r);
             assert!(
                 ImageView::parse(&bad, k).is_ok(),
-                "{layer} seed {seed}: CRCs must stay valid"
+                "{layer} seed {seed}: the trailer must stay valid"
             );
             let outcome = std::panic::catch_unwind(|| restore(&bad));
             match outcome {
@@ -507,7 +540,7 @@ fn corruption_matrix_rejects_every_class_at_every_layer() {
 }
 
 /// Images must also refuse to restore as the wrong layer: a kernel
-/// image is not a session, whatever its CRCs say.
+/// image is not a session, whatever its trailer says.
 #[test]
 fn kind_confusion_is_rejected() {
     let (session, _, _) = campaign_world(true);
